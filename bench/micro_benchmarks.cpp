@@ -11,7 +11,6 @@
 #include "flow/max_min.hpp"
 #include "http/parser.hpp"
 #include "http/range.hpp"
-#include "seed_event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -50,10 +49,7 @@ BENCHMARK(BM_EventCancel);
 //
 // Steady-state timer churn at a fixed pending population, the workload the
 // flow layer generates (every rate change moves a completion estimate).
-// Each family member runs both against sim::Simulator and against the
-// pre-rewrite priority_queue + tombstone design (seed_event_queue.hpp) so
-// the before/after gap is measured on the same machine. Deterministic LCG
-// keeps the op sequences identical across implementations and runs.
+// Deterministic LCG keeps the op sequences identical across runs.
 
 inline std::uint64_t churn_lcg(std::uint64_t& s) {
   s = s * 6364136223846793005ull + 1442695040888963407ull;
@@ -82,25 +78,7 @@ void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn)->Arg(10000)->Arg(100000);
 
-void BM_EventQueueChurnSeedQueue(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  bench::SeedEventQueue q;
-  std::vector<bench::SeedEventQueue::EventId> ids(n);
-  std::uint64_t s = 42;
-  for (std::size_t i = 0; i < n; ++i) {
-    ids[i] = q.schedule_at(churn_time(s), [] {});
-  }
-  for (auto _ : state) {
-    const std::size_t i = churn_lcg(s) % n;
-    q.cancel(ids[i]);
-    ids[i] = q.schedule_at(churn_time(s), [] {});
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueChurnSeedQueue)->Arg(10000)->Arg(100000);
-
-// Move a random pending event in place (the seed design can only spell
-// this cancel + re-create).
+// Move a random pending event in place.
 void BM_EventQueueReschedule(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Simulator sim;
@@ -116,27 +94,9 @@ void BM_EventQueueReschedule(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueReschedule)->Arg(10000)->Arg(100000);
 
-void BM_EventQueueRescheduleSeedQueue(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  bench::SeedEventQueue q;
-  std::vector<bench::SeedEventQueue::EventId> ids(n);
-  std::uint64_t s = 42;
-  for (std::size_t i = 0; i < n; ++i) {
-    ids[i] = q.schedule_at(churn_time(s), [] {});
-  }
-  for (auto _ : state) {
-    const std::size_t i = churn_lcg(s) % n;
-    q.cancel(ids[i]);
-    ids[i] = q.schedule_at(churn_time(s), [] {});
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueRescheduleSeedQueue)->Arg(10000)->Arg(100000);
-
 // The realistic mix: reschedules, replacements, and one dispatch per
-// round. Events self-respawn on firing (in place for the indexed heap, a
-// fresh schedule for the seed design), so the pending population holds at
-// exactly n throughout.
+// round. Events reschedule themselves in place on firing, so the pending
+// population holds at exactly n throughout.
 void BM_EventQueueMixed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   struct Ctx {
@@ -170,37 +130,6 @@ void BM_EventQueueMixed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_EventQueueMixed)->Arg(10000)->Arg(100000);
-
-void BM_EventQueueMixedSeedQueue(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  bench::SeedEventQueue q;
-  std::vector<bench::SeedEventQueue::EventId> ids(n);
-  std::uint64_t s = 42;
-  std::uint64_t s2 = 99;
-  std::function<void(std::size_t, double)> arm = [&](std::size_t i,
-                                                     double delay) {
-    ids[i] = q.schedule_in(delay, [&, i] {
-      arm(i, static_cast<double>(churn_lcg(s2) % (1u << 20)));
-    });
-  };
-  const auto delay = [&s] {
-    return static_cast<double>(churn_lcg(s) % (1u << 20));
-  };
-  for (std::size_t i = 0; i < n; ++i) arm(i, delay());
-  std::size_t ops = 0;
-  for (auto _ : state) {
-    const std::size_t i = churn_lcg(s) % n;
-    q.cancel(ids[i]);
-    arm(i, delay());
-    const std::size_t j = churn_lcg(s) % n;
-    q.cancel(ids[j]);
-    arm(j, delay());
-    q.step();  // fires the earliest; its closure schedules its successor
-    ops += 4;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_EventQueueMixedSeedQueue)->Arg(10000)->Arg(100000);
 
 std::pair<std::vector<flow::Rate>, std::vector<flow::FlowDemand>>
 make_allocation_instance(std::size_t links, std::size_t flows,

@@ -12,13 +12,13 @@
 //
 // It also gates the event core itself: a warm schedule / cancel /
 // reschedule / dispatch churn loop on sim::Simulator must perform zero
-// heap allocations (same counting operator new), and must sustain at
-// least 2x the op throughput of the seed priority_queue + tombstone
-// design (bench/seed_event_queue.hpp) at 10k+ pending events — a wide
-// margin below the measured gap, so the assert is load-tolerant.
+// heap allocations (same counting operator new), and must stay within an
+// absolute ns/op budget at 10k and 100k pending events. Each budget is
+// about 3x the median of nine runs on a 4-vCPU x86-64 VM (RelWithDebInfo):
+// 78 ns/op at 10k, 217 ns/op at 100k.
 //
 // Other wall-clock numbers are recorded for trend tracking but never
-// asserted on, so those checks are load-insensitive and safe in CI.
+// asserted on.
 // Results are written as JSON to argv[1] (default ./BENCH_flowsim.json).
 // Exit status is non-zero if any assertion fails.
 #include <atomic>
@@ -34,7 +34,6 @@
 #include "flow/flow_simulator.hpp"
 #include "flow/max_min.hpp"
 #include "net/topology.hpp"
-#include "seed_event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -212,20 +211,17 @@ CaseResult run_case(std::size_t flows, std::size_t components) {
 
 // --- Event-core churn gate ------------------------------------------------
 //
-// The same churn schedule runs against sim::Simulator and the seed
-// reference queue: `pending` events stay live while each op either moves a
-// random one (in-place reschedule; cancel + re-schedule on the seed, the
-// only spelling that design has) or replaces it (cancel + schedule), and a
-// dispatch tail drains a slice of the queue. Deterministic LCG so both
-// queues see the identical sequence.
+// `pending` events stay live while each op either moves a random one
+// (in-place reschedule) or replaces it (cancel + schedule), and a dispatch
+// tail drains a slice of the queue. Deterministic LCG, so every run sees
+// the identical sequence.
 
 struct EventCoreResult {
   std::size_t pending = 0;
   std::size_t ops = 0;
   std::uint64_t churn_allocs = 0;
-  double indexed_ns_per_op = 0.0;
-  double seed_ns_per_op = 0.0;
-  double speedup = 0.0;
+  double ns_per_op = 0.0;
+  double budget_ns_per_op = 0.0;
 };
 
 constexpr double kChurnBase = 1e6;
@@ -244,69 +240,35 @@ EventCoreResult run_event_core_case(std::size_t pending, std::size_t ops) {
   r.pending = pending;
   r.ops = ops;
 
-  // --- Indexed-heap core.
-  {
-    sim::Simulator sim;
-    std::vector<sim::EventId> ids(pending);
-    std::uint64_t s = 42;
-    // Warm-up: grow slab, heap and free list to their high-water marks by
-    // filling, draining through the free path, and refilling.
-    for (std::size_t i = 0; i < pending; ++i) {
-      ids[i] = sim.schedule_at(lcg_time(s), [] {});
-    }
-    for (std::size_t i = 0; i < pending; ++i) sim.cancel(ids[i]);
-    for (std::size_t i = 0; i < pending; ++i) {
-      ids[i] = sim.schedule_at(lcg_time(s), [] {});
-    }
-
-    s = 7;
-    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t k = 0; k < ops; ++k) {
-      const std::size_t i = lcg_next(s) % pending;
-      const double t = lcg_time(s);
-      if (k & 1) {
-        sim.reschedule_at(ids[i], t);
-      } else {
-        sim.cancel(ids[i]);
-        ids[i] = sim.schedule_at(t, [] {});
-      }
-    }
-    sim.run(pending / 2);  // dispatch tail: pop path, closure round-trip
-    r.indexed_ns_per_op = ns_since(t0) / (ops + pending / 2);
-    r.churn_allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+  sim::Simulator sim;
+  std::vector<sim::EventId> ids(pending);
+  std::uint64_t s = 42;
+  // Warm-up: grow slab, heap and free list to their high-water marks by
+  // filling, draining through the free path, and refilling.
+  for (std::size_t i = 0; i < pending; ++i) {
+    ids[i] = sim.schedule_at(lcg_time(s), [] {});
+  }
+  for (std::size_t i = 0; i < pending; ++i) sim.cancel(ids[i]);
+  for (std::size_t i = 0; i < pending; ++i) {
+    ids[i] = sim.schedule_at(lcg_time(s), [] {});
   }
 
-  // --- Seed reference queue, identical op sequence.
-  {
-    bench::SeedEventQueue q;
-    std::vector<bench::SeedEventQueue::EventId> ids(pending);
-    std::uint64_t s = 42;
-    for (std::size_t i = 0; i < pending; ++i) {
-      ids[i] = q.schedule_at(lcg_time(s), [] {});
+  s = 7;
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t k = 0; k < ops; ++k) {
+    const std::size_t i = lcg_next(s) % pending;
+    const double t = lcg_time(s);
+    if (k & 1) {
+      sim.reschedule_at(ids[i], t);
+    } else {
+      sim.cancel(ids[i]);
+      ids[i] = sim.schedule_at(t, [] {});
     }
-    for (std::size_t i = 0; i < pending; ++i) q.cancel(ids[i]);
-    for (std::size_t i = 0; i < pending; ++i) {
-      ids[i] = q.schedule_at(lcg_time(s), [] {});
-    }
-
-    s = 7;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t k = 0; k < ops; ++k) {
-      const std::size_t i = lcg_next(s) % pending;
-      const double t = lcg_time(s);
-      // Both branches are cancel + schedule here: the tombstone design
-      // has no in-place move.
-      q.cancel(ids[i]);
-      ids[i] = q.schedule_at(t, [] {});
-    }
-    q.run(pending / 2);
-    r.seed_ns_per_op = ns_since(t0) / (ops + pending / 2);
   }
-
-  r.speedup = r.indexed_ns_per_op > 0.0
-                  ? r.seed_ns_per_op / r.indexed_ns_per_op
-                  : 0.0;
+  sim.run(pending / 2);  // dispatch tail: pop path, closure round-trip
+  r.ns_per_op = ns_since(t0) / (ops + pending / 2);
+  r.churn_allocs = g_allocs.load(std::memory_order_relaxed) - a0;
   return r;
 }
 
@@ -316,11 +278,10 @@ void append_event_core_json(std::string& out, const EventCoreResult& r) {
       buf, sizeof buf,
       "    {\"pending\": %zu, \"ops\": %zu,\n"
       "     \"churn_allocs\": %llu,\n"
-      "     \"indexed_ns_per_op\": %.6g,\n"
-      "     \"seed_queue_ns_per_op\": %.6g,\n"
-      "     \"speedup_over_seed\": %.6g}",
+      "     \"ns_per_op\": %.6g,\n"
+      "     \"budget_ns_per_op\": %.6g}",
       r.pending, r.ops, static_cast<unsigned long long>(r.churn_allocs),
-      r.indexed_ns_per_op, r.seed_ns_per_op, r.speedup);
+      r.ns_per_op, r.budget_ns_per_op);
   out += buf;
 }
 
@@ -391,13 +352,16 @@ int main(int argc, char** argv) {
   }
   json += "\n  ],\n";
 
-  // --- Event-core churn: zero allocations warm, >= 2x over seed design.
+  // --- Event-core churn: zero allocations warm, within the ns/op budget.
   json += "  \"event_core\": [\n";
-  const std::size_t core_cases[][2] = {
-      {10000, 200000}, {100000, 200000}};
+  const struct {
+    std::size_t pending, ops;
+    double budget_ns_per_op;
+  } core_cases[] = {{10000, 200000, 230.0}, {100000, 200000, 650.0}};
   first = true;
   for (const auto& c : core_cases) {
-    const EventCoreResult r = run_event_core_case(c[0], c[1]);
+    EventCoreResult r = run_event_core_case(c.pending, c.ops);
+    r.budget_ns_per_op = c.budget_ns_per_op;
 
     char label[64];
     std::snprintf(label, sizeof label, "event core pending=%zu", r.pending);
@@ -405,14 +369,13 @@ int main(int argc, char** argv) {
           std::string(label) + ": warm churn loop allocated (" +
               std::to_string(r.churn_allocs) + " allocations / " +
               std::to_string(r.ops) + " ops)");
-    check(r.speedup >= 2.0,
-          std::string(label) + ": speedup over seed queue " +
-              std::to_string(r.speedup) + " < 2x");
-    std::printf(
-        "%-32s indexed %6.0f ns/op  seed %6.0f ns/op  speedup %5.1fx  "
-        "allocs %llu\n",
-        label, r.indexed_ns_per_op, r.seed_ns_per_op, r.speedup,
-        static_cast<unsigned long long>(r.churn_allocs));
+    check(r.ns_per_op <= r.budget_ns_per_op,
+          std::string(label) + ": " + std::to_string(r.ns_per_op) +
+              " ns/op over the " + std::to_string(r.budget_ns_per_op) +
+              " ns/op budget");
+    std::printf("%-32s %6.0f ns/op  budget %6.0f ns/op  allocs %llu\n",
+                label, r.ns_per_op, r.budget_ns_per_op,
+                static_cast<unsigned long long>(r.churn_allocs));
 
     if (!first) json += ",\n";
     first = false;

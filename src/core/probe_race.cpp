@@ -1,8 +1,10 @@
+// The simulated driver of core::RaceMachine: attempts are TransferEngine
+// transfers, the timer is a simulator event.
 #include "core/probe_race.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <memory>
 
 #include "util/error.hpp"
@@ -11,526 +13,206 @@ namespace idr::core {
 
 namespace {
 
-struct RaceState {
-  overlay::TransferEngine* engine = nullptr;
-  RaceSpec spec;
-  RaceCallback on_done;
-  util::TimePoint start_time = 0.0;
-  Bytes file_size = 0.0;
-  std::uint64_t probe_span = 0;
+constexpr RaceStack kSimStack{"sim", {1e-3, 1e3, 4}, {1e-1, 1e5, 4}};
 
-  struct Entry {
-    overlay::TransferHandle handle = 0;
-    std::optional<net::NodeId> relay;
-    bool finished = false;
-  };
-  std::vector<Entry> probes;
-  std::size_t pending = 0;
-  bool decided = false;
-  sim::EventId timeout_event = 0;
+/// Span name per AttemptKind.
+const char* const kSpanNames[] = {"probe_lane", "remainder", "remainder",
+                                  "fallback", "pinned"};
 
-  /// Winning lane once decided (nullopt = direct).
-  std::optional<net::NodeId> winner;
-  util::Duration probe_elapsed = 0.0;
+class SimRace final : public RaceDriver,
+                      public std::enable_shared_from_this<SimRace> {
+ public:
+  SimRace(overlay::TransferEngine& engine, const RaceSpec& spec,
+          RaceCallback on_done)
+      : engine_(engine),
+        spec_(spec),
+        on_done_(std::move(on_done)),
+        size_(spec_.server->resource_size(spec_.resource)),
+        trace_(make_trace()),
+        machine_(config(), *this, now()) {}
 
-  /// True while the race is skipped on a pinned relay; cleared by
-  /// launch() when a pin failure forces a real race after all.
-  bool race_skipped = false;
-
-  /// Cross-hop identity for this race's spans and flight record; invalid
-  /// when neither the caller nor the tracer asked for one.
-  obs::TraceContext trace;
-  std::uint64_t attempt_seq = 0;  // per-attempt child-span salt
-
-  // Fault/retry accounting, stamped into every outcome.
-  std::size_t probe_failures = 0;
-  std::size_t retries = 0;
-  bool fell_back_direct = false;
-  std::vector<net::NodeId> failed_relays;
-  std::size_t overload_rejections = 0;
-  std::vector<net::NodeId> overloaded_relays;
-
-  /// Backoff jitter stream, created only after the first failure so a
-  /// clean race derives no RNG at all. The salt mixes the race start time
-  /// so concurrent races on one engine draw independent jitter, while the
-  /// same seed + same schedule replays identically.
-  std::optional<util::Rng> backoff_rng;
-
-  sim::Simulator& simulator() {
-    return engine->flow_simulator().simulator();
+  void start() {
+    if (size_) {
+      machine_.start();
+    } else {
+      machine_.fail("unknown resource " + spec_.resource, now());
+    }
   }
 
-  flow::FlowSimulator& fsim() { return engine->flow_simulator(); }
+  void start_attempt(const Attempt& a) override {
+    overlay::TransferRequest req;
+    req.client = spec_.client;
+    req.server = spec_.server;
+    req.resource = spec_.resource;
+    req.range = machine_.range(a);
+    req.relay = relay_node(a.lane);
+    // The first remainder rides the winner's warm connection; retries
+    // reconnect cold (the connection died with the failure).
+    req.warm_connection = a.kind == AttemptKind::Remainder && a.retry == 0;
+    req.tcp = spec_.tcp;
+    const overlay::TransferHandle handle = engine_.begin(
+        req, [self = shared_from_this(), a](const overlay::TransferResult& r) {
+          self->emit_attempt_span(a, r);
+          self->machine_.on_attempt_done(
+              a, {.ok = r.ok, .now = self->now(), .overloaded = r.overloaded,
+                  .retry_after = r.retry_after, .bytes = r.bytes,
+                  .elapsed = r.elapsed(), .error = r.error});
+        });
+    if (a.kind == AttemptKind::Probe) {
+      if (lanes_.empty()) lanes_.resize(spec_.candidate_relays.size() + 1);
+      lanes_[a.lane] = handle;
+    }
+  }
+
+  void cancel_lane(std::size_t lane) override { engine_.cancel(lanes_[lane]); }
+
+  void arm_timer(double delay) override {
+    timer_ = simulator().schedule_in(delay, [self = shared_from_this()] {
+      self->timer_ = 0;
+      self->machine_.on_timer();
+    });
+  }
+
+  void cancel_timer() override {
+    if (timer_ != 0) simulator().cancel(timer_);
+    timer_ = 0;
+  }
+
+  util::Rng& backoff_rng() override {
+    if (!backoff_rng_) {
+      // Salted by the start time: concurrent races on one engine draw
+      // independent streams, a replay draws the same ones.
+      backoff_rng_.emplace(engine_.flow_simulator().derive_rng(
+          std::bit_cast<std::uint64_t>(machine_.start_time()) ^ 0xFA157ull));
+    }
+    return *backoff_rng_;
+  }
+
+  std::int64_t relay_id(std::size_t lane) const override {
+    return *relay_node(lane);
+  }
+
+  void finish(const RaceVerdict& v) override {
+    RaceOutcome outcome;
+    static_cast<RaceSummary&>(outcome) = v;
+    if (v.chose_indirect) outcome.relay = *relay_node(v.lane);
+    outcome.total_bytes = v.ok ? *size_ : 0.0;
+    outcome.remainder_bytes = v.tail_bytes;
+    outcome.remainder_elapsed = v.tail_elapsed;
+    outcome.failed_relays.assign(v.failed_relays.begin(),
+                                 v.failed_relays.end());
+    outcome.overloaded_relays.assign(v.overloaded_relays.begin(),
+                                     v.overloaded_relays.end());
+    // The enclosing race span, once per race: the probe_race span count
+    // equals the transfer count by construction.
+    if (tracer() != nullptr) {
+      std::string args = ok_args(outcome.ok) + ",\"chose_indirect\":";
+      args += outcome.chose_indirect ? "true" : "false";
+      if (outcome.chose_indirect) {
+        args += ",\"relay\":" + std::to_string(outcome.relay);
+      }
+      if (outcome.fell_back_direct) args += ",\"fell_back_direct\":true";
+      emit_span("probe_race", machine_.start_time(), outcome.total_elapsed,
+                std::move(args), trace_.span_id, 0);
+    }
+    on_done_(outcome);
+  }
+
+ private:
+  sim::Simulator& simulator() {
+    return engine_.flow_simulator().simulator();
+  }
+  util::TimePoint now() { return simulator().now(); }
 
   /// World tracer, or null when tracing is off for this world.
   obs::Tracer* tracer() {
-    obs::Tracer* t = fsim().tracer();
+    obs::Tracer* t = engine_.flow_simulator().tracer();
     return t != nullptr && t->enabled() ? t : nullptr;
   }
 
-  /// Establishes the race's trace context exactly once: the caller's
-  /// (e.g. a testbed session) when provided, otherwise self-derived from
-  /// the seeded RNG tree — but only while the world tracer is on, so
-  /// untraced runs derive nothing and replay bitwise.
-  void ensure_trace() {
-    if (trace.valid()) return;
-    if (spec.trace.valid()) {
-      trace = spec.trace;
-      return;
+  RaceConfig config() {
+    RaceConfig c;
+    c.stack = &kSimStack;
+    c.relays = spec_.candidate_relays.size();
+    if (size_) {
+      c.file_bytes = static_cast<std::uint64_t>(std::llround(*size_));
+      c.probe_bytes = static_cast<std::uint64_t>(
+          std::llround(std::min(spec_.probe_bytes, *size_)));
     }
-    if (tracer() == nullptr) return;
-    std::uint64_t salt = 0;
-    static_assert(sizeof(salt) == sizeof(start_time));
-    std::memcpy(&salt, &start_time, sizeof(salt));
-    util::Rng id_rng = fsim().derive_rng(salt ^ 0x712ACEull);
-    trace = obs::make_trace_context(id_rng);
+    c.probe_timeout = spec_.probe_timeout;
+    c.retry = spec_.retry;
+    // The pin gets a lane past the candidates: it need not be one. Its
+    // failures still merge with a candidate's: both name the same node.
+    if (spec_.pinned_relay) c.pinned_lane = c.relays + 1;
+    c.pinned_estimate_age = spec_.pinned_estimate_age;
+    c.metrics = &engine_.flow_simulator().metrics();
+    c.flights = spec_.flights;
+    c.flight_peer = spec_.resource;
+    c.trace_id = trace_.trace_id;
+    return c;
   }
 
-  /// One complete span per transfer attempt inside the race (probe lane,
-  /// remainder, fallback), parented under the race span by time nesting
-  /// and — when the race carries a context — by explicit span ids.
-  void emit_attempt_span(const char* name,
-                         const overlay::TransferResult& result) {
-    obs::Tracer* t = tracer();
-    if (t == nullptr) return;
-    std::string args = "{\"ok\":";
-    args += result.ok ? "true" : "false";
-    if (result.indirect) {
-      args += ",\"relay\":" + std::to_string(result.relay);
-    }
-    args += '}';
+  std::optional<net::NodeId> relay_node(std::size_t lane) const {
+    if (lane == 0) return std::nullopt;
+    if (lane > spec_.candidate_relays.size()) return spec_.pinned_relay;
+    return spec_.candidate_relays[lane - 1];
+  }
+
+  /// The caller's context (e.g. a testbed session) when provided,
+  /// otherwise self-derived from the seeded RNG tree — but only while the
+  /// world tracer is on, so untraced runs derive nothing.
+  obs::TraceContext make_trace() {
+    if (spec_.trace.valid() || tracer() == nullptr) return spec_.trace;
+    util::Rng id_rng = engine_.flow_simulator().derive_rng(
+        std::bit_cast<std::uint64_t>(now()) ^ 0x712ACEull);
+    return obs::make_trace_context(id_rng);
+  }
+
+  static std::string ok_args(bool ok) {
+    return ok ? "{\"ok\":true" : "{\"ok\":false";
+  }
+
+  /// One span per attempt, nested under the race span by time and — when
+  /// the race carries a context — by explicit span ids.
+  void emit_attempt_span(const Attempt& a, const overlay::TransferResult& r) {
+    if (tracer() == nullptr) return;
+    std::string args = ok_args(r.ok);
+    if (r.indirect) args += ",\"relay\":" + std::to_string(r.relay);
+    const std::uint64_t span_id =
+        trace_.valid() ? trace_.child(0x500 + ++attempt_seq_).span_id : 0;
+    emit_span(kSpanNames[static_cast<int>(a.kind)], r.start_time,
+              r.elapsed(), std::move(args), span_id, trace_.span_id);
+  }
+
+  void emit_span(const char* name, double start, double duration,
+                 std::string args, std::uint64_t span_id,
+                 std::uint64_t parent_span) {
     obs::TraceEvent ev;
     ev.name = name;
     ev.category = "sim.race";
-    ev.phase = 'X';
-    ev.track = fsim().trace_track();
-    ev.ts_us = result.start_time * 1e6;
-    ev.dur_us = result.elapsed() * 1e6;
-    if (trace.valid()) {
-      ev.trace_id = trace.trace_id;
-      ev.span_id = trace.child(0x500 + ++attempt_seq).span_id;
-      ev.parent_span = trace.span_id;
+    ev.track = engine_.flow_simulator().trace_track();
+    ev.ts_us = start * 1e6;
+    ev.dur_us = duration * 1e6;
+    if (trace_.valid()) {
+      ev.trace_id = trace_.trace_id;
+      ev.span_id = span_id;
+      ev.parent_span = parent_span;
     }
-    ev.args_json = std::move(args);
-    t->append(std::move(ev));
+    ev.args_json = std::move(args) + '}';
+    tracer()->append(std::move(ev));
   }
 
-  /// The enclosing race span plus the race-level counters, emitted exactly
-  /// once per race from finish_success/finish_error — so the probe_race
-  /// span count equals the fetch (transfer) count by construction.
-  void emit_race_end(const RaceOutcome& outcome) {
-    obs::Registry& metrics = fsim().metrics();
-    if (!outcome.ok) {
-      metrics.counter("sim.race.races_failed").inc();
-    } else if (outcome.chose_indirect) {
-      metrics.counter("sim.race.races_won_indirect").inc();
-    } else {
-      metrics.counter("sim.race.races_won_direct").inc();
-    }
-    metrics.counter("sim.race.probe_failures").inc(outcome.probe_failures);
-    metrics.counter("sim.race.retries").inc(outcome.retries);
-    metrics.counter("sim.race.overload_rejections")
-        .inc(outcome.overload_rejections);
-    if (outcome.fell_back_direct) {
-      metrics.counter("sim.race.fallbacks_direct").inc();
-    }
-    if (outcome.ok && outcome.probe_elapsed > 0.0) {
-      metrics
-          .histogram("sim.race.probe_seconds",
-                     obs::HistogramOptions{1e-3, 1e3, 4})
-          .observe(outcome.probe_elapsed);
-    }
-    record_flight(outcome);
-    obs::Tracer* t = tracer();
-    if (t == nullptr) return;
-    std::string args = "{\"ok\":";
-    args += outcome.ok ? "true" : "false";
-    args += ",\"chose_indirect\":";
-    args += outcome.chose_indirect ? "true" : "false";
-    if (outcome.chose_indirect) {
-      args += ",\"relay\":" + std::to_string(outcome.relay);
-    }
-    if (outcome.fell_back_direct) args += ",\"fell_back_direct\":true";
-    args += '}';
-    obs::TraceEvent ev;
-    ev.name = "probe_race";
-    ev.category = "sim.race";
-    ev.phase = 'X';
-    ev.track = fsim().trace_track();
-    ev.ts_us = start_time * 1e6;
-    ev.dur_us = outcome.total_elapsed * 1e6;
-    if (trace.valid()) {
-      ev.trace_id = trace.trace_id;
-      ev.span_id = trace.span_id;
-    }
-    ev.args_json = std::move(args);
-    t->append(std::move(ev));
-  }
-
-  /// The per-transfer flight record, mirrored from the outcome (one per
-  /// race, success or failure), when the caller supplied a ring.
-  void record_flight(const RaceOutcome& outcome) {
-    if (spec.flights == nullptr) return;
-    obs::FlightRecord rec;
-    rec.trace_id = trace.trace_id;
-    rec.source = "sim.race";
-    rec.peer = spec.resource;
-    rec.start_time = start_time;
-    rec.ok = outcome.ok;
-    rec.chose_indirect = outcome.chose_indirect;
-    rec.race_skipped = outcome.race_skipped;
-    rec.fell_back_direct = outcome.fell_back_direct;
-    rec.relay_index = outcome.chose_indirect
-                          ? static_cast<std::int64_t>(outcome.relay)
-                          : -1;
-    rec.probe_elapsed_s = outcome.probe_elapsed;
-    rec.total_elapsed_s = outcome.total_elapsed;
-    rec.bytes_total = static_cast<std::uint64_t>(
-        std::llround(outcome.total_bytes));
-    rec.bytes_probe =
-        outcome.race_skipped
-            ? 0
-            : probe_span * static_cast<std::uint64_t>(
-                               spec.candidate_relays.size());
-    rec.retries = outcome.retries;
-    rec.probe_failures = outcome.probe_failures;
-    rec.overload_rejections = outcome.overload_rejections;
-    spec.flights->record(std::move(rec));
-  }
-
-  util::Rng& rng() {
-    if (!backoff_rng) {
-      std::uint64_t salt = 0;
-      static_assert(sizeof(salt) == sizeof(start_time));
-      std::memcpy(&salt, &start_time, sizeof(salt));
-      backoff_rng.emplace(
-          engine->flow_simulator().derive_rng(salt ^ 0xFA157ull));
-    }
-    return *backoff_rng;
-  }
-
-  void note_failed_relay(const std::optional<net::NodeId>& relay) {
-    if (!relay) return;
-    if (std::find(failed_relays.begin(), failed_relays.end(), *relay) ==
-        failed_relays.end()) {
-      failed_relays.push_back(*relay);
-    }
-  }
-
-  /// A shed (overload-rejected) attempt: the relay is alive, so it feeds
-  /// the shorter "overloaded" penalty instead of the crash blacklist.
-  void note_overloaded_relay(const std::optional<net::NodeId>& relay) {
-    ++overload_rejections;
-    if (!relay) return;
-    if (std::find(overloaded_relays.begin(), overloaded_relays.end(),
-                  *relay) == overloaded_relays.end()) {
-      overloaded_relays.push_back(*relay);
-    }
-  }
-
-  void note_attempt_failure(const std::optional<net::NodeId>& relay,
-                            const overlay::TransferResult& result) {
-    if (result.overloaded) {
-      note_overloaded_relay(relay);
-    } else {
-      note_failed_relay(relay);
-    }
-  }
-
-  void stamp(RaceOutcome& outcome) const {
-    outcome.race_skipped = race_skipped;
-    outcome.probe_failures = probe_failures;
-    outcome.retries = retries;
-    outcome.fell_back_direct = fell_back_direct;
-    outcome.failed_relays = failed_relays;
-    outcome.overload_rejections = overload_rejections;
-    outcome.overloaded_relays = overloaded_relays;
-  }
-
-  void finish_error(std::string error) {
-    RaceOutcome outcome;
-    outcome.ok = false;
-    outcome.error = std::move(error);
-    outcome.total_elapsed = simulator().now() - start_time;
-    stamp(outcome);
-    emit_race_end(outcome);
-    on_done(outcome);
-  }
+  overlay::TransferEngine& engine_;
+  RaceSpec spec_;
+  RaceCallback on_done_;
+  std::optional<Bytes> size_;
+  obs::TraceContext trace_;
+  std::uint64_t attempt_seq_ = 0;  // per-attempt child-span salt
+  std::vector<overlay::TransferHandle> lanes_;
+  sim::EventId timer_ = 0;
+  std::optional<util::Rng> backoff_rng_;
+  RaceMachine machine_;
 };
-
-void on_probe_done(const std::shared_ptr<RaceState>& state,
-                   std::size_t index, const overlay::TransferResult& result);
-void start_remainder(const std::shared_ptr<RaceState>& state,
-                     std::size_t attempt, bool via_direct);
-void start_direct_fallback(const std::shared_ptr<RaceState>& state,
-                           std::size_t attempt);
-
-void finish_success(const std::shared_ptr<RaceState>& state,
-                    const overlay::TransferResult* remainder) {
-  RaceOutcome outcome;
-  outcome.ok = true;
-  outcome.chose_indirect = state->winner.has_value();
-  outcome.relay = state->winner.value_or(net::kInvalidNode);
-  outcome.probe_elapsed = state->probe_elapsed;
-  outcome.total_elapsed = state->simulator().now() - state->start_time;
-  outcome.total_bytes = state->file_size;
-  if (remainder != nullptr) {
-    outcome.remainder_bytes = remainder->bytes;
-    outcome.remainder_elapsed = remainder->elapsed();
-  }
-  state->stamp(outcome);
-  state->emit_race_end(outcome);
-  state->on_done(outcome);
-}
-
-/// All probe lanes died (fault windows, resets, or timeout): abandon
-/// selection and salvage the transfer with a plain full-file direct
-/// request, retried under the backoff policy. This is the "graceful
-/// degradation to what a non-selecting client would have done" path.
-void start_direct_fallback(const std::shared_ptr<RaceState>& state,
-                           std::size_t attempt) {
-  state->fell_back_direct = true;
-  overlay::TransferRequest req;
-  req.client = state->spec.client;
-  req.server = state->spec.server;
-  req.resource = state->spec.resource;
-  req.tcp = state->spec.tcp;
-  state->engine->begin(
-      req, [state, attempt](const overlay::TransferResult& result) {
-        state->emit_attempt_span("fallback", result);
-        if (result.ok) {
-          state->winner.reset();
-          finish_success(state, nullptr);
-          return;
-        }
-        if (attempt < state->spec.retry.max_retries) {
-          ++state->retries;
-          // An overloaded peer's Retry-After floor beats our backoff:
-          // retrying sooner would just be shed again.
-          const util::Duration delay = std::max(
-              fault::backoff_delay(state->spec.retry, attempt, state->rng()),
-              result.retry_after);
-          state->simulator().schedule_in(delay, [state, attempt] {
-            start_direct_fallback(state, attempt + 1);
-          });
-          return;
-        }
-        state->finish_error("all probes failed and direct fallback died: " +
-                            result.error);
-      });
-}
-
-void launch(const std::shared_ptr<RaceState>& state) {
-  const auto size = state->spec.server->resource_size(state->spec.resource);
-  if (!size) {
-    state->finish_error("unknown resource " + state->spec.resource);
-    return;
-  }
-  state->race_skipped = false;
-  state->file_size = *size;
-  state->start_time = state->simulator().now();
-  state->ensure_trace();
-
-  // Direct probe first, then one per candidate relay. The probe range is
-  // bytes=0-(x-1); if the file is smaller than x the range resolves to the
-  // whole file and the race decides everything.
-  std::vector<std::optional<net::NodeId>> lanes;
-  lanes.emplace_back(std::nullopt);
-  for (net::NodeId relay : state->spec.candidate_relays) {
-    lanes.emplace_back(relay);
-  }
-
-  state->probe_span = static_cast<std::uint64_t>(
-      std::llround(std::min(state->spec.probe_bytes, state->file_size)));
-  IDR_REQUIRE(state->probe_span > 0, "probe race: zero probe size");
-
-  // Selection-plane accounting: a race ran, and its probe overhead is the
-  // probe span sent down every losing lane (the winner's probe counts
-  // toward the file, exactly one lane wins). Charged at launch; lanes
-  // cancelled early still consumed capacity.
-  obs::Registry& select_metrics = state->fsim().metrics();
-  select_metrics.counter("sim.select.races_run").inc();
-  select_metrics.counter("sim.select.probe_bytes")
-      .inc(state->probe_span *
-           static_cast<std::uint64_t>(lanes.size() - 1));
-
-  state->probes.resize(lanes.size());
-  state->pending = lanes.size();
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    state->probes[i].relay = lanes[i];
-    overlay::TransferRequest req;
-    req.client = state->spec.client;
-    req.server = state->spec.server;
-    req.resource = state->spec.resource;
-    req.range = http::range_first_bytes(state->probe_span);
-    req.relay = lanes[i];
-    req.tcp = state->spec.tcp;
-    const std::size_t index = i;
-    state->probes[i].handle = state->engine->begin(
-        req, [state, index](const overlay::TransferResult& result) {
-          on_probe_done(state, index, result);
-        });
-  }
-
-  // A lane whose relay silently died would otherwise stall the race
-  // forever; past the deadline every unfinished lane is declared failed.
-  if (state->spec.probe_timeout > 0.0) {
-    state->timeout_event = state->simulator().schedule_in(
-        state->spec.probe_timeout, [state] {
-          state->timeout_event = 0;
-          if (state->decided || state->pending == 0) return;
-          for (auto& probe : state->probes) {
-            if (probe.finished) continue;
-            state->engine->cancel(probe.handle);
-            probe.finished = true;
-            --state->pending;
-            ++state->probe_failures;
-            state->note_failed_relay(probe.relay);
-          }
-          start_direct_fallback(state, 0);
-        });
-  }
-}
-
-/// The skipped-race path: the selection policy pinned a relay with a
-/// fresh estimate, so the whole file is fetched through it in a single
-/// transfer — no probe range, no competing lanes, zero probe bytes. On
-/// failure the pin is abandoned honestly: the failure is charged to the
-/// relay (blacklist input) and the full race launches over the spec's
-/// candidate set, as if the pin had never existed.
-void start_pinned(const std::shared_ptr<RaceState>& state) {
-  const auto size = state->spec.server->resource_size(state->spec.resource);
-  if (!size) {
-    state->finish_error("unknown resource " + state->spec.resource);
-    return;
-  }
-  state->race_skipped = true;
-  state->file_size = *size;
-  state->start_time = state->simulator().now();
-  state->ensure_trace();
-  const net::NodeId pinned = *state->spec.pinned_relay;
-
-  obs::Registry& metrics = state->fsim().metrics();
-  metrics.counter("sim.select.races_skipped").inc();
-  metrics
-      .histogram("sim.select.estimate_age",
-                 obs::HistogramOptions{1e-1, 1e5, 4})
-      .observe(state->spec.pinned_estimate_age);
-
-  overlay::TransferRequest req;
-  req.client = state->spec.client;
-  req.server = state->spec.server;
-  req.resource = state->spec.resource;
-  req.relay = pinned;
-  req.tcp = state->spec.tcp;
-  state->engine->begin(
-      req, [state, pinned](const overlay::TransferResult& result) {
-        state->emit_attempt_span("pinned", result);
-        if (result.ok) {
-          state->winner = pinned;
-          // The whole transfer is "remainder": probe_elapsed stays 0 and
-          // steady_throughput measures the full single-lane fetch.
-          finish_success(state, &result);
-          return;
-        }
-        state->note_attempt_failure(pinned, result);
-        state->fsim().metrics()
-            .counter("sim.select.pinned_fallbacks").inc();
-        launch(state);
-      });
-}
-
-/// The "bytes=x-" remainder with bounded retry: first attempt rides the
-/// winner's warm connection; retries reconnect cold (the connection died
-/// with the failure); once the winner's chain is exhausted the remainder
-/// falls back to a fresh direct connection with its own retry chain.
-void start_remainder(const std::shared_ptr<RaceState>& state,
-                     std::size_t attempt, bool via_direct) {
-  overlay::TransferRequest rest;
-  rest.client = state->spec.client;
-  rest.server = state->spec.server;
-  rest.resource = state->spec.resource;
-  rest.range = http::range_from_offset(state->probe_span);
-  rest.relay = via_direct ? std::nullopt : state->winner;
-  rest.warm_connection = attempt == 0 && !via_direct;
-  rest.tcp = state->spec.tcp;
-  state->engine->begin(
-      rest, [state, attempt,
-             via_direct](const overlay::TransferResult& remainder) {
-        state->emit_attempt_span("remainder", remainder);
-        if (remainder.ok) {
-          finish_success(state, &remainder);
-          return;
-        }
-        if (!via_direct) state->note_attempt_failure(state->winner, remainder);
-        if (attempt < state->spec.retry.max_retries) {
-          ++state->retries;
-          const util::Duration delay = std::max(
-              fault::backoff_delay(state->spec.retry, attempt, state->rng()),
-              remainder.retry_after);
-          state->simulator().schedule_in(delay, [state, attempt, via_direct] {
-            start_remainder(state, attempt + 1, via_direct);
-          });
-          return;
-        }
-        if (!via_direct && state->winner.has_value()) {
-          // Selected relay is dead: degrade to the direct path rather than
-          // failing the whole transfer.
-          state->fell_back_direct = true;
-          start_remainder(state, 0, /*via_direct=*/true);
-          return;
-        }
-        state->finish_error("remainder transfer failed after retries: " +
-                            remainder.error);
-      });
-}
-
-void on_probe_done(const std::shared_ptr<RaceState>& state,
-                   std::size_t index, const overlay::TransferResult& result) {
-  auto& probe = state->probes[index];
-  probe.finished = true;
-  --state->pending;
-  state->emit_attempt_span("probe_lane", result);
-
-  if (state->decided) return;  // a loser draining out; already cancelled?
-
-  if (!result.ok) {
-    ++state->probe_failures;
-    state->note_attempt_failure(probe.relay, result);
-    if (state->pending == 0) {
-      // Every lane (direct included) died before finishing its probe.
-      // Try to salvage the transfer with a plain direct request — the
-      // failures may have been transient resets or a closing window.
-      if (state->timeout_event != 0) {
-        state->simulator().cancel(state->timeout_event);
-        state->timeout_event = 0;
-      }
-      start_direct_fallback(state, 0);
-    }
-    return;  // other lanes still racing
-  }
-
-  // First successful probe wins the race.
-  state->decided = true;
-  state->winner = probe.relay;
-  state->probe_elapsed = result.finish_time - state->start_time;
-  if (state->timeout_event != 0) {
-    state->simulator().cancel(state->timeout_event);
-    state->timeout_event = 0;
-  }
-
-  for (auto& other : state->probes) {
-    if (!other.finished) state->engine->cancel(other.handle);
-  }
-
-  if (state->probe_span >= static_cast<std::uint64_t>(
-                               std::llround(state->file_size))) {
-    // The probe covered the whole file.
-    finish_success(state, nullptr);
-    return;
-  }
-  start_remainder(state, 0, /*via_direct=*/false);
-}
 
 }  // namespace
 
@@ -545,16 +227,7 @@ void start_probe_race(overlay::TransferEngine& engine, const RaceSpec& spec,
   IDR_REQUIRE(!spec.pinned_relay.has_value() ||
                   *spec.pinned_relay != net::kInvalidNode,
               "start_probe_race: invalid pinned relay");
-  auto state = std::make_shared<RaceState>();
-  state->engine = &engine;
-  state->spec = spec;
-  state->on_done = std::move(on_done);
-  engine.flow_simulator().metrics().counter("sim.race.races_started").inc();
-  if (state->spec.pinned_relay.has_value()) {
-    start_pinned(state);
-  } else {
-    launch(state);
-  }
+  std::make_shared<SimRace>(engine, spec, std::move(on_done))->start();
 }
 
 }  // namespace idr::core

@@ -1,8 +1,5 @@
-// The paper's predictor: race the first x bytes of the file over the
-// direct path and over each candidate indirect path simultaneously (HTTP
-// range request "bytes=0-(x-1)"); whichever path completes the probe first
-// is predicted fastest, the other probes are aborted, and the remaining
-// n-x bytes are fetched over the winner ("bytes=x-").
+// The paper's predictor in the simulated stack: core::RaceMachine (see
+// race_machine.hpp) driven over overlay::TransferEngine transfers.
 //
 // The client-perceived throughput of the whole operation is
 // n / (time from race start to last byte of the remainder) — probing
@@ -14,8 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.hpp"
-#include "obs/flight.hpp"
+#include "core/race_machine.hpp"
 #include "obs/trace.hpp"
 #include "overlay/transfer_engine.hpp"
 
@@ -38,14 +34,12 @@ struct RaceSpec {
   std::vector<net::NodeId> candidate_relays;
   flow::TcpConfig tcp{};
 
-  /// Per-race probe timeout: lanes still unfinished this long after the
-  /// race starts are cancelled and counted as failed (a relay that is
-  /// down stalls forever without this). 0 disables — the default, so
-  /// fault-free runs schedule no extra event.
+  /// Lanes still unfinished this long after launch count as failed (a
+  /// silently dead relay stalls forever without it). 0, the default,
+  /// schedules no extra event.
   Duration probe_timeout = 0.0;
-  /// Bounded retry with exponential backoff + jitter for the remainder
-  /// fetch and the direct fallback. Consulted only after a failure, so a
-  /// clean race never draws from the backoff stream.
+  /// Retry/backoff for the remainder and the direct fallback; consulted
+  /// only after a failure, so a clean race draws no backoff stream.
   fault::RetryPolicy retry{};
 
   /// Cross-hop trace identity for this transfer's spans. Invalid — the
@@ -58,60 +52,27 @@ struct RaceSpec {
   /// finished race — success or failure. Works with or without tracing.
   obs::FlightRecorder* flights = nullptr;
 
-  /// When set, the race is skipped entirely: the whole file is fetched
-  /// through this relay in one transfer (no probe bytes, no competing
-  /// lanes). Should that transfer fail, the race launches over
-  /// `candidate_relays` as if the pin had never existed. Set by
-  /// race-skipping selection policies (race-on-staleness); nullopt — the
-  /// default — races exactly as before.
+  /// When set (by race-skipping policies), the whole file is first
+  /// fetched through this relay with no race; if that fails, the race
+  /// runs over `candidate_relays` as if the pin had never existed.
   std::optional<net::NodeId> pinned_relay;
-  /// Age (seconds) of the estimate that justified the pin; recorded into
-  /// the sim.select.estimate_age histogram. Meaningless without a pin.
+  /// Age of the estimate behind the pin (sim.select.estimate_age).
   Duration pinned_estimate_age = 0.0;
 };
 
-struct RaceOutcome {
-  bool ok = false;
-  std::string error;
-
-  bool chose_indirect = false;
+/// ok, error, chose_indirect, race_skipped, the elapsed times and the
+/// fault/retry accounting are core::RaceSummary, shared with rt races.
+struct RaceOutcome : RaceSummary {
   net::NodeId relay = net::kInvalidNode;  // winner, when indirect
-
-  /// True when the probe race was skipped on a pinned relay and the whole
-  /// file rode that relay (probe_elapsed is 0 and no probe bytes were
-  /// spent). False whenever a race actually ran — including a race forced
-  /// by the pinned transfer failing.
-  bool race_skipped = false;
-
-  /// Time from race start to the first probe completing.
-  Duration probe_elapsed = 0.0;
-  /// Time from race start to the full file delivered over the winner.
-  Duration total_elapsed = 0.0;
   Bytes total_bytes = 0.0;
-  /// The "bytes=x-" remainder phase on the winner (zero when the probe
-  /// covered the whole file).
+  /// The "bytes=x-" remainder on the winner, or the whole pinned transfer
+  /// (zero when the probe covered the whole file).
   Bytes remainder_bytes = 0.0;
   Duration remainder_elapsed = 0.0;
-
-  // --- Fault/retry accounting (all zero on a clean race) -------------------
-  /// Probe lanes that failed or timed out before the race was decided.
-  std::size_t probe_failures = 0;
-  /// Remainder/fallback attempts beyond each phase's first try.
-  std::size_t retries = 0;
-  /// True when the transfer was salvaged over the direct path after the
-  /// selected path (or every probe lane) died.
-  bool fell_back_direct = false;
-  /// Relays whose probe lane or remainder transfer failed — the input to
-  /// failed-relay blacklisting. Deduplicated. Overload rejections are NOT
-  /// counted here; they land in overloaded_relays instead.
+  /// Relays whose probe lane, pin or remainder failed — the input to
+  /// failed-relay blacklisting — and, separately, relays that shed load
+  /// (a shorter penalty). Deduplicated.
   std::vector<net::NodeId> failed_relays;
-  /// Attempts refused by relay admission control (the sim-side 503) —
-  /// failures above may overlap these counts, but the relays involved are
-  /// reported separately because an overloaded relay deserves a shorter
-  /// penalty than a crashed one.
-  std::size_t overload_rejections = 0;
-  /// Relays that shed load during this race. Deduplicated, disjoint from
-  /// failed_relays unless a relay both crashed and shed.
   std::vector<net::NodeId> overloaded_relays;
 
   /// Client-perceived throughput of the selected path, probe included.
@@ -134,10 +95,9 @@ struct RaceOutcome {
 
 using RaceCallback = std::function<void(const RaceOutcome&)>;
 
-/// Starts the race; the callback fires in simulated time. The race owns
-/// its transfers and cleans up losers. Lifetime is self-managed (shared
-/// state kept alive by the engine callbacks), so no handle is returned —
-/// races always terminate because every underlying transfer does.
+/// Starts the race; the callback fires once, in simulated time. The race
+/// keeps itself alive through its transfers' callbacks and always ends
+/// because every transfer does, so no handle is returned.
 void start_probe_race(overlay::TransferEngine& engine, const RaceSpec& spec,
                       RaceCallback on_done);
 

@@ -8,9 +8,9 @@
 //     transient mid-flow resets). Generation is a deterministic function
 //     of (config, relay count, seed): the same trial seed always yields
 //     the same schedule, at any thread count, on any host.
-//   * RetryPolicy / backoff_delay — the shared retry state machine
-//     parameters consumed by core::start_probe_race (simulated sockets)
-//     and rt::start_probe_race (real epoll sockets).
+//   * RetryPolicy / backoff_delay — the retry parameters of
+//     core::RaceMachine, the race both stacks drive (simulated transfers
+//     and real epoll sockets).
 // Delivery is owned by the consumers: testbed::ClientWorld replays a
 // schedule into overlay::TransferEngine as simulator events; the rt stack
 // injects equivalent faults through rt::FaultShim at the socket layer.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace idr::flow {
 

@@ -1,5 +1,6 @@
 #include "obs/log.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <optional>
@@ -10,8 +11,11 @@ namespace idr::obs {
 
 namespace {
 
+/// Threshold when no component filter is configured.
+constexpr Severity kGlobalThreshold = Severity::Warn;
+
 struct Filter {
-  bool active = false;        // false: fall through to util::log_level()
+  bool active = false;        // false: fall through to kGlobalThreshold
   bool has_default = false;   // spec carried a bare `level` entry
   Severity default_level = Severity::Warn;
   std::vector<std::pair<std::string, Severity>> rules;
@@ -64,12 +68,21 @@ std::optional<Filter> parse_filter(std::string_view spec) {
 }
 
 std::mutex g_filter_mutex;
+std::mutex g_stderr_mutex;
+
+void write_line(Severity severity, const std::string& line) {
+  static const char* const kNames[] = {"debug", "info", "warn", "error",
+                                       "off"};
+  std::lock_guard<std::mutex> lock(g_stderr_mutex);
+  std::fprintf(stderr, "[%s] %s\n", kNames[static_cast<int>(severity)],
+               line.c_str());
+}
 
 Filter load_env_filter() {
   const char* env = std::getenv("IDR_OBS_LOG_LEVEL");
   if (env == nullptr || *env == '\0') return Filter{};
   if (auto parsed = parse_filter(env)) return *parsed;
-  util::log_message(
+  write_line(
       Severity::Warn,
       std::string("[obs.log] ignoring malformed IDR_OBS_LOG_LEVEL: ") + env);
   return Filter{};
@@ -97,7 +110,7 @@ bool log_enabled(Severity severity, std::string_view component) {
   const Filter& f = filter_state();
   if (!f.active) {
     return static_cast<int>(severity) >=
-           static_cast<int>(util::log_level());
+           static_cast<int>(kGlobalThreshold);
   }
   std::size_t best = 0;
   const Severity* matched = nullptr;
@@ -110,7 +123,7 @@ bool log_enabled(Severity severity, std::string_view component) {
   const Severity threshold =
       matched != nullptr
           ? *matched
-          : (f.has_default ? f.default_level : util::log_level());
+          : (f.has_default ? f.default_level : kGlobalThreshold);
   return static_cast<int>(severity) >= static_cast<int>(threshold);
 }
 
@@ -136,7 +149,7 @@ void log(Severity severity, std::string_view component,
   line += component;
   line += "] ";
   line += message;
-  util::log_message(severity, line);
+  write_line(severity, line);
 }
 
 }  // namespace idr::obs

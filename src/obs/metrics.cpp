@@ -198,6 +198,11 @@ std::uint64_t Histogram::count() const {
 
 // --- Registry ---------------------------------------------------------------
 
+Registry::Registry(Sync sync) : sync_(sync) {
+  static std::atomic<std::uint64_t> next_serial{1};
+  serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
+}
+
 detail::Cell& Registry::resolve(std::string_view name, MetricKind kind) {
   IDR_REQUIRE(!name.empty(), "obs: empty metric name");
   std::lock_guard<std::mutex> lock(mutex_);

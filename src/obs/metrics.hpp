@@ -172,7 +172,7 @@ class Registry {
  public:
   enum class Sync { None, Atomic };
 
-  explicit Registry(Sync sync = Sync::None) : sync_(sync) {}
+  explicit Registry(Sync sync = Sync::None);
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -185,11 +185,15 @@ class Registry {
   Snapshot snapshot() const;
   std::size_t size() const;
   Sync sync() const { return sync_; }
+  /// Process-unique id, never reused: a key for caches of this
+  /// registry's handles that must not outlive it.
+  std::uint64_t serial() const { return serial_; }
 
  private:
   detail::Cell& resolve(std::string_view name, MetricKind kind);
 
   Sync sync_;
+  std::uint64_t serial_;
   mutable std::mutex mutex_;           // guards registration + snapshot
   std::deque<detail::Cell> cells_;     // deque: cell addresses are stable
   std::unordered_map<std::string, std::size_t> index_;

@@ -1,6 +1,8 @@
+// The socket driver of core::RaceMachine: attempts are rt::fetch calls,
+// the timer is a reactor timer.
 #include "rt/probe_race.hpp"
 
-#include <algorithm>
+#include <cstdio>
 #include <memory>
 
 #include "util/error.hpp"
@@ -9,373 +11,157 @@ namespace idr::rt {
 
 namespace {
 
-struct RaceState {
-  Reactor* reactor = nullptr;
-  RaceSpec spec;
-  RaceCallback on_done;
-  double start_time = 0.0;
-  std::vector<FetchHandle> lanes;  // lane 0 = direct, i+1 = relays[i]
-  std::size_t pending = 0;
-  bool decided = false;
-  bool finished = false;
-  bool probe_verified = true;
-  /// True while the race is skipped on a pinned relay; cleared by
-  /// launch_race when a failed pin forces a real race after all.
-  bool race_skipped = false;
+using core::Attempt;
+using core::AttemptKind;
 
-  // Winning lane once decided.
-  bool indirect = false;
-  std::size_t relay_index = SIZE_MAX;
-  double probe_elapsed = 0.0;
+constexpr core::RaceStack kRtStack{"rt", {1e-4, 1e3, 4}, {1e-3, 1e5, 4}};
 
-  // Fault/retry accounting, stamped into every result.
-  std::size_t probe_failures = 0;
-  std::size_t retries = 0;
-  bool fell_back_direct = false;
-  std::size_t overload_rejections = 0;
-
-  /// Probe-phase overhead bytes (probe span down every lane beyond the
-  /// one that counts toward the file), for the flight record.
-  std::uint64_t probe_overhead_bytes = 0;
-
-  /// Jitter stream for backoff delays; fixed seed — wall-clock retry
-  /// spacing needs decorrelation, not reproducibility.
-  util::Rng backoff_rng{0xF417u};
-
-  /// Child context for one outbound fetch; invalid (no header) when the
-  /// race itself carries no context.
-  obs::TraceContext fetch_trace(std::uint64_t salt) const {
-    return spec.trace.valid() ? spec.trace.child(salt)
-                              : obs::TraceContext{};
+/// `traceparent` child salt per attempt: each outbound request of the
+/// race carries a distinct, replayable child span id.
+std::uint64_t trace_salt(const Attempt& a) {
+  switch (a.kind) {
+    case AttemptKind::Probe: return 0x100 + a.lane;
+    case AttemptKind::Remainder: return 0x200 + 4 * a.retry;
+    case AttemptKind::DirectRemainder: return 0x200 + 4 * a.retry + 1;
+    case AttemptKind::Fallback: return 0x300 + a.retry;
+    case AttemptKind::Pinned: return 0x400;
   }
-
-  void stamp(RaceResult& result) const {
-    result.race_skipped = race_skipped;
-    result.probe_failures = probe_failures;
-    result.retries = retries;
-    result.fell_back_direct = fell_back_direct;
-    result.overload_rejections = overload_rejections;
-  }
-
-  /// Outcome counters and the race span; called exactly once per race.
-  void record_obs(const RaceResult& result) {
-    if (spec.metrics) {
-      obs::Registry& m = *spec.metrics;
-      if (!result.ok) {
-        m.counter("rt.race.races_failed").inc();
-      } else if (result.chose_indirect) {
-        m.counter("rt.race.races_won_indirect").inc();
-      } else {
-        m.counter("rt.race.races_won_direct").inc();
-      }
-      if (probe_failures > 0) {
-        m.counter("rt.race.probe_failures").inc(probe_failures);
-      }
-      if (retries > 0) m.counter("rt.race.retries").inc(retries);
-      if (overload_rejections > 0) {
-        m.counter("rt.race.overload_rejections").inc(overload_rejections);
-      }
-      if (fell_back_direct) m.counter("rt.race.fallbacks_direct").inc();
-      if (result.ok && !result.race_skipped) {
-        m.histogram("rt.race.probe_seconds",
-                    obs::HistogramOptions{1e-4, 1e3, 4})
-            .observe(result.probe_elapsed);
-      }
-    }
-    if (spec.tracer && spec.tracer->enabled()) {
-      std::string args = "{\"ok\":";
-      args += result.ok ? "true" : "false";
-      args += ",\"chose_indirect\":";
-      args += result.chose_indirect ? "true" : "false";
-      args += ",\"relay\":";
-      args += result.relay_index == SIZE_MAX
-                  ? std::string("-1")
-                  : std::to_string(result.relay_index);
-      args += ",\"fell_back_direct\":";
-      args += result.fell_back_direct ? "true" : "false";
-      args += "}";
-      const double end_us = reactor->now() * 1e6;
-      obs::TraceEvent ev;
-      ev.name = "probe_race";
-      ev.category = "rt.race";
-      ev.phase = 'X';
-      ev.pid = spec.trace_pid;
-      ev.track = spec.trace_track;
-      ev.ts_us = start_time * 1e6;
-      ev.dur_us = end_us - ev.ts_us;
-      ev.trace_id = spec.trace.trace_id;
-      ev.span_id = spec.trace.span_id;
-      ev.args_json = std::move(args);
-      spec.tracer->append(std::move(ev));
-      if (spec.trace.valid()) {
-        // Flow chain: 's' here at race start, 't' on each server hop,
-        // 'f' back here at completion — one arrowed chain per transfer.
-        spec.tracer->flow('s', "transfer", "rt.race", spec.trace_pid,
-                          spec.trace_track, start_time * 1e6,
-                          spec.trace.trace_id);
-        spec.tracer->flow('f', "transfer", "rt.race", spec.trace_pid,
-                          spec.trace_track, end_us, spec.trace.trace_id);
-      }
-    }
-    if (spec.flights) {
-      obs::FlightRecord rec;
-      rec.trace_id = spec.trace.trace_id;
-      rec.source = "rt.race";
-      rec.peer = spec.origin.host + ":" +
-                 std::to_string(spec.origin.port) + spec.path;
-      rec.start_time = start_time;
-      rec.ok = result.ok;
-      rec.chose_indirect = result.chose_indirect;
-      rec.race_skipped = result.race_skipped;
-      rec.fell_back_direct = result.fell_back_direct;
-      rec.relay_index = result.chose_indirect
-                            ? static_cast<std::int64_t>(result.relay_index)
-                            : -1;
-      rec.probe_elapsed_s = result.probe_elapsed;
-      rec.total_elapsed_s = result.total_elapsed;
-      rec.bytes_total = result.total_bytes;
-      rec.bytes_probe = probe_overhead_bytes;
-      rec.retries = result.retries;
-      rec.probe_failures = result.probe_failures;
-      rec.overload_rejections = result.overload_rejections;
-      spec.flights->record(std::move(rec));
-    }
-  }
-
-  void finish(RaceResult result) {
-    if (finished) return;
-    finished = true;
-    for (auto& lane : lanes) lane.cancel();
-    stamp(result);
-    record_obs(result);
-    on_done(result);
-  }
-
-  void fail(const std::string& error) {
-    RaceResult result;
-    result.ok = false;
-    result.error = error;
-    finish(result);
-  }
-};
-
-void start_remainder(const std::shared_ptr<RaceState>& state,
-                     std::size_t attempt, bool via_direct);
-
-void finish_success(const std::shared_ptr<RaceState>& state,
-                    const FetchResult* remainder, bool covered_by_probe) {
-  RaceResult final;
-  final.ok = true;
-  final.chose_indirect = state->indirect;
-  final.relay_index = state->relay_index;
-  final.probe_elapsed = state->probe_elapsed;
-  // When the probe covered the file the race IS the transfer; re-reading
-  // the clock here would make the two elapsed times differ by epsilon.
-  final.total_elapsed = covered_by_probe
-                            ? state->probe_elapsed
-                            : state->reactor->now() - state->start_time;
-  final.total_bytes = state->spec.resource_size;
-  final.body_verified =
-      state->probe_verified &&
-      (remainder == nullptr || remainder->body_verified);
-  state->finish(final);
+  return 0;
 }
 
-/// Every lane died before delivering a probe: salvage the transfer with a
-/// plain full-file direct fetch under the retry policy instead of failing
-/// outright — exactly what a non-selecting client would do.
-void start_direct_fallback(const std::shared_ptr<RaceState>& state,
-                           std::size_t attempt,
-                           const std::string& probe_error) {
-  state->fell_back_direct = true;
-  FetchRequest req;
-  req.origin = state->spec.origin;
-  req.path = state->spec.path;
-  req.timeout_s = state->spec.timeout_s;
-  req.trace = state->fetch_trace(0x300 + attempt);
-  fetch(*state->reactor, req,
-        [state, attempt, probe_error](const FetchResult& result) {
-          if (state->finished) return;
-          if (result.ok) {
-            state->indirect = false;
-            state->relay_index = SIZE_MAX;
-            state->probe_verified = result.body_verified;
-            finish_success(state, nullptr, /*covered_by_probe=*/false);
-            return;
-          }
-          if (result.overloaded()) ++state->overload_rejections;
-          if (attempt < state->spec.retry.max_retries) {
-            ++state->retries;
-            // An overloaded peer's Retry-After floor beats our backoff:
-            // retrying sooner would just be shed again.
-            const double delay =
-                std::max(fault::backoff_delay(state->spec.retry, attempt,
-                                              state->backoff_rng),
-                         result.retry_after_s);
-            state->reactor->add_timer(delay, [state, attempt, probe_error] {
-              if (!state->finished) {
-                start_direct_fallback(state, attempt + 1, probe_error);
-              }
-            });
-            return;
-          }
-          state->fail("all probes failed (" + probe_error +
-                      ") and direct fallback died: " + result.error);
-        });
-}
+class RtRace final : public core::RaceDriver,
+                     public std::enable_shared_from_this<RtRace> {
+ public:
+  RtRace(Reactor& reactor, const RaceSpec& spec, RaceCallback on_done)
+      : reactor_(reactor),
+        spec_(spec),
+        on_done_(std::move(on_done)),
+        flight_peer_(spec.flights == nullptr
+                         ? std::string()
+                         : spec.origin.host + ":" +
+                               std::to_string(spec.origin.port) + spec.path),
+        machine_(config(), *this, reactor.now()) {}
 
-/// Remainder with bounded retry: the winner's lane first (retries
-/// reconnect from scratch), then the direct path, then a clean error —
-/// a dead winner no longer fails the whole transfer.
-void start_remainder(const std::shared_ptr<RaceState>& state,
-                     std::size_t attempt, bool via_direct) {
-  FetchRequest rest;
-  rest.origin = state->spec.origin;
-  rest.path = state->spec.path;
-  rest.range = http::range_from_offset(state->spec.probe_bytes);
-  if (!via_direct && state->indirect) {
-    rest.proxy = state->spec.relays[state->relay_index];
-  }
-  rest.timeout_s = state->spec.timeout_s;
-  rest.trace =
-      state->fetch_trace(0x200 + attempt * 4 + (via_direct ? 1 : 0));
-  fetch(*state->reactor, rest,
-        [state, attempt, via_direct](const FetchResult& remainder) {
-          if (state->finished) return;
-          if (remainder.ok) {
-            if (via_direct) state->fell_back_direct = true;
-            finish_success(state, &remainder, /*covered_by_probe=*/false);
-            return;
-          }
-          if (remainder.overloaded()) ++state->overload_rejections;
-          if (attempt < state->spec.retry.max_retries) {
-            ++state->retries;
-            const double delay =
-                std::max(fault::backoff_delay(state->spec.retry, attempt,
-                                              state->backoff_rng),
-                         remainder.retry_after_s);
-            state->reactor->add_timer(delay, [state, attempt, via_direct] {
-              if (!state->finished) {
-                start_remainder(state, attempt + 1, via_direct);
-              }
-            });
-            return;
-          }
-          if (!via_direct && state->indirect) {
-            // Selected relay is dead: degrade to the direct path.
-            state->fell_back_direct = true;
-            start_remainder(state, 0, /*via_direct=*/true);
-            return;
-          }
-          state->fail("remainder failed after retries: " + remainder.error);
-        });
-}
+  void start() { machine_.start(); }
 
-void on_probe_done(const std::shared_ptr<RaceState>& state,
-                   std::size_t lane, const FetchResult& result) {
-  --state->pending;
-  if (state->decided || state->finished) return;
-  if (!result.ok) {
-    ++state->probe_failures;
-    if (result.overloaded()) ++state->overload_rejections;
-    if (state->pending == 0) {
-      start_direct_fallback(state, 0, result.error);
-    }
-    return;
-  }
-
-  state->decided = true;
-  state->probe_verified = result.body_verified;
-  state->probe_elapsed = state->reactor->now() - state->start_time;
-  // Abort the losers.
-  for (std::size_t i = 0; i < state->lanes.size(); ++i) {
-    if (i != lane) state->lanes[i].cancel();
-  }
-
-  state->indirect = lane > 0;
-  state->relay_index = state->indirect ? lane - 1 : SIZE_MAX;
-
-  if (state->spec.probe_bytes >= state->spec.resource_size) {
-    finish_success(state, nullptr, /*covered_by_probe=*/true);
-    return;
-  }
-  start_remainder(state, 0, /*via_direct=*/false);
-}
-
-/// Launches the actual probe race: one lane per path, first probe wins.
-/// Called directly for always-race specs and as the fallback when a
-/// pinned (skipped-race) fetch fails.
-void launch_race(const std::shared_ptr<RaceState>& state) {
-  const RaceSpec& spec = state->spec;
-  state->race_skipped = false;
-  const std::uint64_t probe =
-      std::min(spec.probe_bytes, spec.resource_size);
-  if (spec.metrics) {
-    // Selection-plane accounting: a race ran; its probe overhead is the
-    // probe span down every losing lane (exactly one lane's probe counts
-    // toward the file).
-    spec.metrics->counter("rt.select.races_run").inc();
-    spec.metrics->counter("rt.select.probe_bytes")
-        .inc(probe * static_cast<std::uint64_t>(spec.relays.size()));
-  }
-  state->probe_overhead_bytes =
-      probe * static_cast<std::uint64_t>(spec.relays.size());
-  state->pending = 1 + spec.relays.size();
-  for (std::size_t lane = 0; lane < 1 + spec.relays.size(); ++lane) {
+  void start_attempt(const Attempt& a) override {
     FetchRequest req;
-    req.origin = spec.origin;
-    req.path = spec.path;
-    req.range = http::range_first_bytes(probe);
-    if (lane > 0) req.proxy = spec.relays[lane - 1];
-    req.timeout_s = spec.timeout_s;
-    req.trace = state->fetch_trace(0x100 + lane);
-    state->lanes.push_back(
-        fetch(*state->reactor, req, [state, lane](const FetchResult& result) {
-          on_probe_done(state, lane, result);
-        }));
-  }
-}
-
-/// The skipped-race path: fetch the whole resource through the pinned
-/// relay in one request — zero probe connections. On failure, fall back
-/// to the full race honestly (the pin is charged as a probe failure so
-/// callers' relay accounting sees the dead relay).
-void start_pinned(const std::shared_ptr<RaceState>& state) {
-  const RaceSpec& spec = state->spec;
-  state->race_skipped = true;
-  const std::size_t pinned = *spec.pinned_relay;
-  if (spec.metrics) {
-    spec.metrics->counter("rt.select.races_skipped").inc();
-    spec.metrics
-        ->histogram("rt.select.estimate_age",
-                    obs::HistogramOptions{1e-3, 1e5, 4})
-        .observe(spec.pinned_estimate_age_s);
-  }
-  FetchRequest req;
-  req.origin = spec.origin;
-  req.path = spec.path;
-  req.proxy = spec.relays[pinned];
-  req.timeout_s = spec.timeout_s;
-  req.trace = state->fetch_trace(0x400);
-  fetch(*state->reactor, req,
-        [state, pinned](const FetchResult& result) {
-          if (state->finished) return;
-          if (result.ok) {
-            state->indirect = true;
-            state->relay_index = pinned;
-            state->probe_verified = result.body_verified;
-            // probe_elapsed stays 0: no probe phase existed.
-            finish_success(state, nullptr, /*covered_by_probe=*/false);
-            return;
-          }
-          ++state->probe_failures;
-          if (result.overloaded()) ++state->overload_rejections;
-          if (state->spec.metrics) {
-            state->spec.metrics->counter("rt.select.pinned_fallbacks").inc();
-          }
-          launch_race(state);
+    req.origin = spec_.origin;
+    req.path = spec_.path;
+    req.range = machine_.range(a);
+    if (a.lane > 0) req.proxy = spec_.relays[a.lane - 1];
+    req.timeout_s = spec_.timeout_s;
+    if (spec_.trace.valid()) req.trace = spec_.trace.child(trace_salt(a));
+    FetchHandle handle = fetch(
+        reactor_, req, [self = shared_from_this(), a](const FetchResult& r) {
+          self->machine_.on_attempt_done(
+              a, {.ok = r.ok, .now = self->reactor_.now(),
+                  .overloaded = r.overloaded(),
+                  .retry_after = r.retry_after_s,
+                  .verified = r.body_verified, .error = r.error});
         });
-}
+    if (a.kind == AttemptKind::Probe) {
+      if (lanes_.empty()) lanes_.resize(spec_.relays.size() + 1);
+      lanes_[a.lane] = std::move(handle);
+    }
+  }
+
+  void cancel_lane(std::size_t lane) override { lanes_[lane].cancel(); }
+
+  void arm_timer(double delay) override {
+    timer_ = reactor_.add_timer(delay, [self = shared_from_this()] {
+      self->timer_.reset();
+      self->machine_.on_timer();
+    });
+  }
+
+  void cancel_timer() override {
+    if (timer_) reactor_.cancel_timer(*timer_);
+    timer_.reset();
+  }
+
+  util::Rng& backoff_rng() override { return backoff_rng_; }
+
+  std::int64_t relay_id(std::size_t lane) const override {
+    return static_cast<std::int64_t>(lane) - 1;
+  }
+
+  void finish(const core::RaceVerdict& v) override {
+    RaceResult result;
+    static_cast<core::RaceSummary&>(result) = v;
+    if (v.chose_indirect) result.relay_index = v.lane - 1;
+    result.total_bytes = v.ok ? spec_.resource_size : 0;
+    result.body_verified = v.body_verified;
+    emit_race_span(result);
+    on_done_(result);
+  }
+
+ private:
+  core::RaceConfig config() const {
+    core::RaceConfig c;
+    c.stack = &kRtStack;
+    c.relays = spec_.relays.size();
+    c.file_bytes = spec_.resource_size;
+    c.probe_bytes = spec_.probe_bytes;
+    c.retry = spec_.retry;
+    if (spec_.pinned_relay) c.pinned_lane = *spec_.pinned_relay + 1;
+    c.pinned_estimate_age = spec_.pinned_estimate_age_s;
+    c.metrics = spec_.metrics;
+    c.flights = spec_.flights;
+    c.flight_peer = flight_peer_;
+    c.trace_id = spec_.trace.trace_id;
+    return c;
+  }
+
+  /// The "probe_race" span on the client's track, plus the flow chain:
+  /// 's' at race start, 't' on each server hop, 'f' back here at
+  /// completion — one arrowed chain per transfer.
+  void emit_race_span(const RaceResult& result) {
+    obs::Tracer* tracer = spec_.tracer;
+    if (tracer == nullptr || !tracer->enabled()) return;
+    char args[128];
+    std::snprintf(args, sizeof args,
+                  "{\"ok\":%s,\"chose_indirect\":%s,\"relay\":%lld,"
+                  "\"fell_back_direct\":%s}",
+                  result.ok ? "true" : "false",
+                  result.chose_indirect ? "true" : "false",
+                  result.chose_indirect
+                      ? static_cast<long long>(result.relay_index)
+                      : -1LL,
+                  result.fell_back_direct ? "true" : "false");
+    const double start_us = machine_.start_time() * 1e6;
+    const double end_us = reactor_.now() * 1e6;
+    obs::TraceEvent ev;
+    ev.name = "probe_race";
+    ev.category = "rt.race";
+    ev.phase = 'X';
+    ev.pid = spec_.trace_pid;
+    ev.track = spec_.trace_track;
+    ev.ts_us = start_us;
+    ev.dur_us = end_us - start_us;
+    ev.trace_id = spec_.trace.trace_id;
+    ev.span_id = spec_.trace.span_id;
+    ev.args_json = args;
+    tracer->append(std::move(ev));
+    if (spec_.trace.valid()) {
+      tracer->flow('s', "transfer", "rt.race", spec_.trace_pid,
+                   spec_.trace_track, start_us, spec_.trace.trace_id);
+      tracer->flow('f', "transfer", "rt.race", spec_.trace_pid,
+                   spec_.trace_track, end_us, spec_.trace.trace_id);
+    }
+  }
+
+  Reactor& reactor_;
+  RaceSpec spec_;
+  RaceCallback on_done_;
+  std::string flight_peer_;
+  std::vector<FetchHandle> lanes_;  // lane 0 = direct, i+1 = relays[i]
+  std::optional<TimerId> timer_;
+  /// Fixed seed: wall-clock retry spacing needs decorrelation, not
+  /// reproducibility.
+  util::Rng backoff_rng_{0xF417u};
+  core::RaceMachine machine_;
+};
 
 }  // namespace
 
@@ -387,19 +173,7 @@ void start_probe_race(Reactor& reactor, const RaceSpec& spec,
   IDR_REQUIRE(!spec.pinned_relay.has_value() ||
                   *spec.pinned_relay < spec.relays.size(),
               "start_probe_race: pinned relay index out of range");
-
-  auto state = std::make_shared<RaceState>();
-  state->reactor = &reactor;
-  state->spec = spec;
-  state->on_done = std::move(on_done);
-  state->start_time = reactor.now();
-  if (spec.metrics) spec.metrics->counter("rt.race.races_started").inc();
-
-  if (spec.pinned_relay.has_value()) {
-    start_pinned(state);
-  } else {
-    launch_race(state);
-  }
+  std::make_shared<RtRace>(reactor, spec, std::move(on_done))->start();
 }
 
 }  // namespace idr::rt

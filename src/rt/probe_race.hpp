@@ -1,16 +1,12 @@
-// The paper's probe race over real sockets: request the first x bytes of
-// the resource over the direct path and through each candidate relay
-// simultaneously; the first lane to deliver its probe wins, the losers
-// are aborted, and the remaining bytes are fetched over the winner.
+// The paper's probe race over real sockets: core::RaceMachine (see
+// core/race_machine.hpp) driven over rt::fetch.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <vector>
 
-#include "fault/fault.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
+#include "core/race_machine.hpp"
 #include "obs/trace.hpp"
 #include "rt/http_client.hpp"
 #include "rt/relay_daemon.hpp"
@@ -25,14 +21,11 @@ struct RaceSpec {
   /// Candidate relay endpoints; the direct path always races too.
   std::vector<Endpoint> relays;
   double timeout_s = 30.0;
-  /// Bounded retry with backoff for the remainder fetch and the direct
-  /// fallback — same semantics as the simulated race (fault/fault.hpp):
-  /// max_retries extra attempts per phase, then degrade to the direct
-  /// path, and only fail once that dies too.
+  /// Retry/backoff for the remainder and the direct fallback.
   fault::RetryPolicy retry{};
-  /// Optional observability: `rt.race.*` counters land in `metrics`, and
-  /// an enabled `tracer` gets one "probe_race" span per race on
-  /// `trace_track` (reactor-clock timestamps). Both may be null.
+  /// Optional: `rt.race.*`/`rt.select.*` series land in `metrics`, and an
+  /// enabled `tracer` gets one "probe_race" span per race on
+  /// `trace_track` (reactor clock).
   obs::Registry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
   std::uint32_t trace_track = 0;
@@ -45,44 +38,23 @@ struct RaceSpec {
   obs::TraceContext trace{};
   /// Chrome pid for this client's spans in a merged multi-role trace.
   std::uint64_t trace_pid = 1;
-  /// When set, the race appends one FlightRecord (source "rt.race") on
-  /// completion.
+  /// When set, gets one FlightRecord (source "rt.race") per race.
   obs::FlightRecorder* flights = nullptr;
 
-  /// When set (an index into `relays`), the race is skipped: the whole
-  /// resource is fetched through that relay in one request — zero probe
-  /// connections, zero probe bytes. If the pinned fetch fails, the full
-  /// race launches over `relays` as if the pin had never existed. Set by
-  /// race-skipping selection (PassiveSelector); nullopt races as before.
+  /// When set (an index into `relays`, by PassiveSelector), the whole
+  /// resource is first fetched through that relay with no race; if that
+  /// fails, the full race runs as if the pin had never existed.
   std::optional<std::size_t> pinned_relay;
-  /// Age (seconds) of the estimate behind the pin, for the
-  /// rt.select.estimate_age histogram. Meaningless without a pin.
+  /// Age of the estimate behind the pin (rt.select.estimate_age).
   double pinned_estimate_age_s = 0.0;
 };
 
-struct RaceResult {
-  bool ok = false;
-  std::string error;
-  bool chose_indirect = false;
+/// ok, error, chose_indirect, race_skipped, the elapsed times and the
+/// fault/retry accounting are core::RaceSummary, shared with sim races.
+struct RaceResult : core::RaceSummary {
   std::size_t relay_index = SIZE_MAX;  // into RaceSpec::relays
-  /// True when the race was skipped on a pinned relay and the whole
-  /// resource rode it (no probe connections were opened). False whenever
-  /// lanes actually raced — including a race forced by a failed pin.
-  bool race_skipped = false;
-  double probe_elapsed = 0.0;
-  double total_elapsed = 0.0;
   std::uint64_t total_bytes = 0;
   bool body_verified = false;
-  /// Fault/retry accounting (zero on a clean race): failed probe lanes,
-  /// attempts beyond each phase's first try, and whether the transfer was
-  /// salvaged over the direct path after the winner died.
-  std::size_t probe_failures = 0;
-  std::size_t retries = 0;
-  bool fell_back_direct = false;
-  /// Of the failures above, how many were 503 sheds from an overloaded
-  /// peer — a softer signal than a crash (the relay is alive and said
-  /// when to come back).
-  std::size_t overload_rejections = 0;
 
   double throughput() const {
     return total_elapsed > 0.0

@@ -114,13 +114,23 @@ TEST(ProbeRace, UnknownResourceFails) {
   RaceWorld w(mbps(8.0), mbps(1.0), mbps(1.0));
   RaceSpec spec = w.spec({w.fast_relay});
   spec.resource = "/missing";
+  obs::FlightRecorder flights;
+  spec.flights = &flights;
   std::optional<RaceOutcome> outcome;
-  start_probe_race(*w.engine, spec,
-                   [&](const RaceOutcome& o) { outcome = o; });
+  // Started mid-run: the failure is immediate, so no race time elapses —
+  // the start time is the call's, not the simulated clock's origin.
+  w.sim.schedule_at(5.0, [&] {
+    start_probe_race(*w.engine, spec,
+                     [&](const RaceOutcome& o) { outcome = o; });
+  });
   w.sim.run();
   ASSERT_TRUE(outcome);
   EXPECT_FALSE(outcome->ok);
   EXPECT_FALSE(outcome->error.empty());
+  EXPECT_EQ(outcome->total_elapsed, 0.0);
+  ASSERT_EQ(flights.size(), 1u);
+  EXPECT_EQ(flights.last()[0].start_time, 5.0);
+  EXPECT_EQ(flights.last()[0].total_elapsed_s, 0.0);
 }
 
 TEST(ProbeRace, SelectedThroughputChargesProbeOverhead) {

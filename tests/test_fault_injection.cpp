@@ -225,6 +225,33 @@ TEST(FaultRace, ProbeTimeoutCancelsStuckLanesAndFallsBack) {
   EXPECT_EQ(w.fsim->active_flows(), 0u);
 }
 
+TEST(FaultRace, PinnedRelayDownChargesThePinToTheRace) {
+  // The pinned relay dies mid-transfer; the full race then runs over the
+  // candidates. The client waited on the dead pin, so the transfer's
+  // elapsed time (and its throughput) must cover the pin attempt, while
+  // the probe phase is timed from the race's own launch.
+  FaultWorld w(mbps(0.8), mbps(8.0), mbps(2.0));
+  const double crash = 1.0;
+  w.relay_down_window(w.fast_relay, crash, crash + 120.0);
+  RaceSpec spec = w.spec({w.slow_relay});
+  spec.pinned_relay = w.fast_relay;
+  std::optional<RaceOutcome> outcome;
+  double finished_at = 0.0;
+  start_probe_race(*w.engine, spec, [&](const RaceOutcome& o) {
+    outcome = o;
+    finished_at = w.sim.now();
+  });
+  w.sim.run();
+  ASSERT_TRUE(outcome && outcome->ok);
+  EXPECT_FALSE(outcome->race_skipped);
+  EXPECT_EQ(outcome->probe_failures, 0u);  // the pin is not a probe lane
+  ASSERT_EQ(outcome->failed_relays.size(), 1u);
+  EXPECT_EQ(outcome->failed_relays[0], w.fast_relay);
+  EXPECT_DOUBLE_EQ(outcome->total_elapsed, finished_at);
+  EXPECT_GT(outcome->total_elapsed, crash + outcome->probe_elapsed);
+  EXPECT_DOUBLE_EQ(outcome->selected_throughput(), 2.0e6 / finished_at);
+}
+
 TEST(FaultRace, EverythingDeadYieldsCleanErrorAfterRetries) {
   FaultWorld w(mbps(0.8), mbps(8.0), mbps(2.0));
   w.engine->set_direct_down(true);

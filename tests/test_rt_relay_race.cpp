@@ -190,7 +190,8 @@ TEST(RtRace, ProbeCoveringFileSkipsRemainder) {
 }
 
 std::uint64_t counter_of(const obs::Registry& registry, const char* name) {
-  const obs::MetricValue* m = registry.snapshot().find(name);
+  const obs::Snapshot snapshot = registry.snapshot();
+  const obs::MetricValue* m = snapshot.find(name);
   return m != nullptr ? m->count : 0;
 }
 
