@@ -60,7 +60,7 @@ PolicyRow run_policy(const testbed::Section4Config& base,
                      const testbed::PolicyParams& params,
                      std::size_t set_size) {
   testbed::Section4Config config = base;
-  config.policy_params = params;
+  config.policy = params;
   const testbed::Section4Result result = testbed::run_section4(config);
 
   PolicyRow row;
@@ -82,7 +82,7 @@ PolicyRow run_policy(const testbed::Section4Config& base,
   }
   row.mean_improvement_pct = improvements.mean();
 
-  const obs::Snapshot metrics = bench::total_metrics(result);
+  const obs::Snapshot& metrics = result.metrics;
   row.probe_bytes = counter_of(metrics, "sim.select.probe_bytes");
   row.races_run = counter_of(metrics, "sim.select.races_run");
   row.races_skipped = counter_of(metrics, "sim.select.races_skipped");

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     const testbed::Section2Result result = testbed::run_section2(config);
     util::SampleSet imp;
     imp.add_all(testbed::indirect_improvements(result.sessions));
-    sim_work += bench::total_scheduler_work(result.sessions);
+    sim_work += result.work;
     table.row()
         .cell(util::format_fixed(kb, 0))
         .cell(imp.empty() ? 0.0 : imp.mean(), 1)

@@ -20,12 +20,10 @@ int main(int argc, char** argv) {
   base.set_sizes = {2, 3, 5, 10};
   if (!opts.paper_scale) base.transfers = 240;
 
-  testbed::Section4Config uniform = base;
-  uniform.policy = testbed::SubsetPolicyKind::Uniform;
-  const testbed::Section4Result uni = testbed::run_section4(uniform);
+  const testbed::Section4Result uni = testbed::run_section4(base);
 
   testbed::Section4Config weighted = base;
-  weighted.policy = testbed::SubsetPolicyKind::Weighted;
+  weighted.policy.kind = testbed::PolicyKind::Weighted;
   const testbed::Section4Result wei = testbed::run_section4(weighted);
 
   util::TextTable table({"Client", "n", "Uniform avg imp (%)",
@@ -43,8 +41,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("%s", table.render().c_str());
-  testbed::SchedulerWork sim_work = bench::total_scheduler_work(uni);
-  sim_work += bench::total_scheduler_work(wei);
+  testbed::SchedulerWork sim_work = uni.work;
+  sim_work += wei.work;
   bench::print_scheduler_work(sim_work);
   return 0;
 }

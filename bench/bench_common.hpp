@@ -110,23 +110,6 @@ inline void print_header(const char* artifact, const char* paper_claim,
               static_cast<unsigned long long>(opts.seed));
 }
 
-/// Merges every session's registry snapshot into one run-level view
-/// (counters add across sessions).
-inline obs::Snapshot total_metrics(
-    const std::vector<testbed::SessionResult>& sessions) {
-  obs::Snapshot total;
-  for (const testbed::SessionResult& s : sessions) total.merge(s.metrics);
-  return total;
-}
-
-inline obs::Snapshot total_metrics(const testbed::Section4Result& result) {
-  obs::Snapshot total;
-  for (const testbed::Section4Cell& c : result.cells) {
-    total.merge(c.session.metrics);
-  }
-  return total;
-}
-
 /// A SchedulerWork tally rendered as the `sim.core.*` registry series —
 /// the bridge for drivers that accumulate event-core counters outside the
 /// session runner.
@@ -167,23 +150,6 @@ inline void finish_run(const char* run_name, const obs::Snapshot& snapshot,
                        const obs::Tracer* tracer = nullptr) {
   print_scheduler_work(snapshot);
   obs::dump_run(run_name, snapshot, tracer);
-}
-
-/// Sums scheduler work over a session collection.
-inline testbed::SchedulerWork total_scheduler_work(
-    const std::vector<testbed::SessionResult>& sessions) {
-  testbed::SchedulerWork total;
-  for (const testbed::SessionResult& s : sessions) total += s.sim_work;
-  return total;
-}
-
-inline testbed::SchedulerWork total_scheduler_work(
-    const testbed::Section4Result& result) {
-  testbed::SchedulerWork total;
-  for (const testbed::Section4Cell& c : result.cells) {
-    total += c.session.sim_work;
-  }
-  return total;
 }
 
 }  // namespace idr::bench

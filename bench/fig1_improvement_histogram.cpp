@@ -43,6 +43,6 @@ int main(int argc, char** argv) {
   }
   std::printf("overall indirect-path utilization %.0f %% (paper: 45 %%)\n",
               100.0 * testbed::overall_utilization(result.sessions));
-  bench::finish_run("fig1", bench::total_metrics(result.sessions), &tracer);
+  bench::finish_run("fig1", result.metrics, &tracer);
   return 0;
 }

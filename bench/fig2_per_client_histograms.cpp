@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     std::printf("  mean %+.1f %%, median %+.1f %%\n\n", samples.mean(),
                 samples.median());
   }
-  bench::finish_run("fig2", bench::total_metrics(result.sessions),
+  bench::finish_run("fig2", result.metrics,
                    &tracer);
   return 0;
 }

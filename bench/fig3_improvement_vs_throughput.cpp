@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
       "\nregression slope: %.1f %% per Mbps (paper: negative / downward)\n",
       slope);
   std::printf("points: %zu\n", xs.size());
-  bench::finish_run("fig3", bench::total_metrics(result.sessions),
+  bench::finish_run("fig3", result.metrics,
                    &tracer);
   return 0;
 }

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  bench::finish_run("fig4", bench::total_metrics(result.sessions),
+  bench::finish_run("fig4", result.metrics,
                    &tracer);
   return 0;
 }

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
               averages.mean());
   std::printf("overall utilization across transfers: %.0f %%\n",
               100.0 * testbed::overall_utilization(result.sessions));
-  bench::finish_run("fig5", bench::total_metrics(result.sessions),
+  bench::finish_run("fig5", result.metrics,
                    &tracer);
   return 0;
 }

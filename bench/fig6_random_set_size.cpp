@@ -40,6 +40,6 @@ int main(int argc, char** argv) {
                 client, at_max > 0 ? 100.0 * at10 / at_max : 0.0,
                 config.set_sizes.back());
   }
-  bench::finish_run("fig6", bench::total_metrics(result), &tracer);
+  bench::finish_run("fig6", result.metrics, &tracer);
   return 0;
 }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     const testbed::Section2Result result = testbed::run_section2(config);
     util::SampleSet imp;
     imp.add_all(testbed::indirect_improvements(result.sessions));
-    metrics.merge(bench::total_metrics(result.sessions));
+    metrics.merge(result.metrics);
     const double avg = imp.empty() ? 0.0 : imp.mean();
     lo = std::min(lo, avg);
     hi = std::max(hi, avg);

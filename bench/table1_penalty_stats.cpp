@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       "(their 3840%% maximum implies a 39x rate ratio); the structure —\n"
       "penalties concentrated in high-throughput, high-variability clients\n"
       "and shrinking under the filters — is what this table checks.\n");
-  bench::finish_run("table1", bench::total_metrics(result.sessions),
+  bench::finish_run("table1", result.metrics,
                    &tracer);
   return 0;
 }

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     if (count >= 2) std::printf("  %-14s in %d clients' top-3\n",
                                 relay.c_str(), count);
   }
-  bench::finish_run("table2", bench::total_metrics(result.sessions),
+  bench::finish_run("table2", result.metrics,
                    &tracer);
   return 0;
 }

@@ -51,6 +51,6 @@ int main(int argc, char** argv) {
                 "(paper: positive, imperfect)\n",
                 util::spearman_correlation(utils, imps));
   }
-  bench::finish_run("table3", bench::total_metrics(result), &tracer);
+  bench::finish_run("table3", result.metrics, &tracer);
   return 0;
 }

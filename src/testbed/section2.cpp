@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "testbed/parallel.hpp"
 #include "testbed/session.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -65,52 +64,52 @@ Section2Result run_section2(const Section2Config& config) {
 
   const ScenarioGenerator generator(config.seed, config.knobs);
 
-  // One task per (client, relay) session.
-  struct Task {
-    const SiteProfile* client = nullptr;
-    const SiteProfile* relay = nullptr;
-  };
-  std::vector<Task> tasks;
-  for (const SiteProfile* client : clients) {
-    if (config.assignment == RelayAssignment::AprioriGood) {
-      tasks.push_back(Task{client,
-                           apriori_good_relay(generator, *client, server,
-                                              config.good_rank)});
-    } else {
-      for (const SiteProfile* relay :
-           pick_relays(*client, config.relays_per_client, config.seed)) {
-        tasks.push_back(Task{client, relay});
-      }
-    }
-  }
-
-  auto run_task = [&](std::size_t i) -> SessionResult {
-    const Task& task = tasks[i];
+  // One session per (client, relay) pair, traced on its task index.
+  std::vector<SessionSpec> specs;
+  auto add_session = [&](const SiteProfile& client,
+                         const SiteProfile& relay) {
     SessionSpec spec;
-    spec.params = generator.make_world(*task.client, {task.relay}, server);
+    spec.params = generator.make_world(client, {&relay}, server);
     // Distinct bandwidth sample paths per session: mix the relay into the
     // process seed (make_world already folds the roster in, but keep the
     // transfer cadence seed distinct too).
-    spec.client_seed =
-        util::child_stream(config.seed, fnv1a(task.client->name) ^
-                                            (fnv1a(task.relay->name) * 17));
+    spec.client_seed = util::child_stream(
+        config.seed, fnv1a(client.name) ^ (fnv1a(relay.name) * 17));
     spec.transfers = config.transfers_per_session;
     spec.interval = config.interval;
-    spec.session_relay_label = std::string(task.relay->name);
+    spec.session_relay_label = std::string(relay.name);
     spec.tracer = config.tracer;
-    spec.trace_track = static_cast<std::uint32_t>(i);
+    spec.trace_track = static_cast<std::uint32_t>(specs.size());
     spec.flights = config.flights;
     spec.sample_period = config.sample_period;
     spec.sample_capacity = config.sample_capacity;
     spec.policy_factory = [](ClientWorld& world) {
       return std::make_unique<core::StaticRelayPolicy>(world.relay_node(0));
     };
-    return run_session(spec).result;
+    specs.push_back(std::move(spec));
   };
+  for (const SiteProfile* client : clients) {
+    if (config.assignment == RelayAssignment::AprioriGood) {
+      add_session(*client, *apriori_good_relay(generator, *client, server,
+                                               config.good_rank));
+    } else {
+      for (const SiteProfile* relay :
+           pick_relays(*client, config.relays_per_client, config.seed)) {
+        add_session(*client, *relay);
+      }
+    }
+  }
 
+  ShardRunResult run =
+      run_sharded(plan_shards(std::move(specs), 1), config.threads);
   Section2Result result;
-  result.sessions = parallel_map<SessionResult>(
-      tasks.size(), config.threads, run_task);
+  result.sessions.reserve(run.outputs.size());
+  for (SessionOutput& output : run.outputs) {
+    result.sessions.push_back(std::move(output.result));
+  }
+  result.metrics = std::move(run.metrics);
+  result.work = run.work;
+  result.summary = run.summary;
   return result;
 }
 

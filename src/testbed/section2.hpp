@@ -1,7 +1,8 @@
 // Section 2/3 experiment driver: each client runs one session per
 // candidate relay with the paper's static-relay methodology (probe race
 // between the direct path and that one relay, every `interval`, N times).
-// The resulting sessions feed Figs. 1-5 and Tables I-II.
+// The resulting sessions feed Figs. 1-5 and Tables I-II. Sessions run on
+// the shard runner (run_sharded), one session per shard.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include "obs/trace.hpp"
 #include "testbed/records.hpp"
 #include "testbed/scenario.hpp"
+#include "testbed/shard.hpp"
 
 namespace idr::testbed {
 
@@ -51,7 +53,7 @@ struct Section2Config {
   /// thread-safe); each session traces on its own track (task index).
   obs::Tracer* tracer = nullptr;
   /// Forwarded into every SessionSpec: per-race flight records (the ring
-  /// is mutex-guarded, so parallel_map workers may share it) and the
+  /// is mutex-guarded, so shard workers may share it) and the
   /// virtual-time sampling that fills each result's TimeSeries.
   obs::FlightRecorder* flights = nullptr;
   util::Duration sample_period = 0.0;
@@ -59,7 +61,13 @@ struct Section2Config {
 };
 
 struct Section2Result {
-  std::vector<SessionResult> sessions;
+  std::vector<SessionResult> sessions;  // in task order
+  /// Run-level totals from the shard runner: every session's registry
+  /// merged in task order (plus the `testbed.shard.*` series), the summed
+  /// event-core work, and the transfer digest.
+  obs::Snapshot metrics;
+  SchedulerWork work;
+  ShardSummary summary;
 };
 
 Section2Result run_section2(const Section2Config& config);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "testbed/parallel.hpp"
 #include "testbed/session.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -44,58 +43,42 @@ Section4Result run_section4(const Section4Config& config) {
   const SiteProfile& server = find_site(config.server);
   const ScenarioGenerator generator(config.seed, config.knobs);
 
-  struct Task {
-    std::size_t client_index = 0;
-    std::size_t set_size = 0;
-  };
-  std::vector<Task> tasks;
+  // One session per (client, set size) cell, traced on its task index.
+  std::vector<SessionSpec> specs;
+  Section4Result result;
   for (std::size_t c = 0; c < config.clients.size(); ++c) {
-    for (std::size_t n : config.set_sizes) {
-      tasks.push_back(Task{c, n});
-    }
-  }
-
-  auto run_task = [&](std::size_t i) -> Section4Cell {
-    const Task& task = tasks[i];
-    const std::string& client_name = config.clients[task.client_index];
+    const std::string& client_name = config.clients[c];
     const SiteProfile& client = find_site(client_name);
-    const auto roster =
-        section4_relays(config, client_name, config.relay_count);
-
-    SessionSpec spec;
-    spec.params = generator.make_world(
-        client, roster, server,
-        config.client_inbound_mbps[task.client_index]);
-    spec.transfers = config.transfers;
-    spec.interval = config.interval;
-    spec.tracer = config.tracer;
-    spec.trace_track = static_cast<std::uint32_t>(i);
-    spec.client_seed = util::child_stream(
-        config.seed, fnv1a(client_name) ^ (task.set_size * 1000003ULL));
-    const std::size_t n = task.set_size;
-    if (config.policy_params.has_value()) {
-      PolicyParams params = *config.policy_params;
+    const WorldParams world = generator.make_world(
+        client, section4_relays(config, client_name, config.relay_count),
+        server, config.client_inbound_mbps[c]);
+    for (std::size_t n : config.set_sizes) {
+      SessionSpec spec;
+      spec.params = world;
+      spec.transfers = config.transfers;
+      spec.interval = config.interval;
+      spec.tracer = config.tracer;
+      spec.trace_track = static_cast<std::uint32_t>(specs.size());
+      spec.client_seed = util::child_stream(
+          config.seed, fnv1a(client_name) ^ (n * 1000003ULL));
+      PolicyParams params = config.policy;
       params.subset_size = n;
       spec.policy_factory =
           [params](ClientWorld&) -> std::unique_ptr<core::SelectionPolicy> {
         return make_policy(params);
       };
-    } else {
-      const SubsetPolicyKind kind = config.policy;
-      spec.policy_factory =
-          [n, kind](ClientWorld&) -> std::unique_ptr<core::SelectionPolicy> {
-        if (kind == SubsetPolicyKind::Weighted) {
-          return std::make_unique<core::WeightedRandomSubsetPolicy>(n);
-        }
-        return std::make_unique<core::UniformRandomSubsetPolicy>(n);
-      };
+      specs.push_back(std::move(spec));
+      Section4Cell& cell = result.cells.emplace_back();
+      cell.client = client_name;
+      cell.set_size = n;
     }
+  }
 
-    SessionOutput output = run_session(spec);
-
-    Section4Cell cell;
-    cell.client = client_name;
-    cell.set_size = task.set_size;
+  ShardRunResult run =
+      run_sharded(plan_shards(std::move(specs), 1), config.threads);
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    Section4Cell& cell = result.cells[i];
+    SessionOutput& output = run.outputs[i];
     cell.utilization = output.result.utilization();
     util::OnlineStats improvements;
     for (const auto& t : output.result.transfers) {
@@ -107,12 +90,10 @@ Section4Result run_section4(const Section4Config& config) {
     cell.avg_improvement_pct = improvements.mean();
     cell.session = std::move(output.result);
     cell.relay_stats = std::move(output.relay_stats);
-    return cell;
-  };
-
-  Section4Result result;
-  result.cells =
-      parallel_map<Section4Cell>(tasks.size(), config.threads, run_task);
+  }
+  result.metrics = std::move(run.metrics);
+  result.work = run.work;
+  result.summary = run.summary;
   return result;
 }
 

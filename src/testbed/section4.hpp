@@ -1,28 +1,22 @@
 // Section 4 experiment driver: the selecting client picks the best of a
 // random subset of n relays per transfer (probing all of them against the
 // direct path). Sweeping n produces Fig. 6; the per-relay utilization and
-// improvement history produces Table III.
+// improvement history produces Table III. Cells run on the shard runner
+// (run_sharded), one session per shard.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include <optional>
-
 #include "core/relay_stats.hpp"
 #include "obs/trace.hpp"
 #include "testbed/policy.hpp"
 #include "testbed/records.hpp"
 #include "testbed/scenario.hpp"
+#include "testbed/shard.hpp"
 
 namespace idr::testbed {
-
-enum class SubsetPolicyKind {
-  Uniform,   // the paper's random set
-  Weighted,  // utilization-weighted sampling (the paper's proposed
-             // enhancement, evaluated as ablation A3)
-};
 
 struct Section4Config {
   std::uint64_t seed = 2007;
@@ -40,12 +34,11 @@ struct Section4Config {
   /// Paper defaults: 720 transfers, one every 30 seconds (6 hours).
   std::size_t transfers = 720;
   util::Duration interval = util::seconds(30);
-  SubsetPolicyKind policy = SubsetPolicyKind::Uniform;
-  /// When set, overrides `policy` with the full PolicyParams family (the
-  /// policy-matrix bench path); the swept set size replaces
-  /// `policy_params->subset_size` per cell. Unset keeps the legacy
-  /// Uniform/Weighted switch above, bit-identical to the seed behavior.
-  std::optional<PolicyParams> policy_params;
+  /// Selection policy of every cell; the swept set size replaces
+  /// `policy.subset_size` per cell. The default is the paper's uniform
+  /// random set; Weighted is the utilization-weighted enhancement the
+  /// paper proposes (ablation A3).
+  PolicyParams policy;
   ScenarioKnobs knobs{};
   unsigned threads = 0;
   /// Optional span sink shared by every cell (the Tracer is thread-safe);
@@ -66,7 +59,11 @@ struct Section4Cell {
 };
 
 struct Section4Result {
-  std::vector<Section4Cell> cells;
+  std::vector<Section4Cell> cells;  // in task order
+  /// Run-level totals from the shard runner, as in Section2Result.
+  obs::Snapshot metrics;
+  SchedulerWork work;
+  ShardSummary summary;
 
   const Section4Cell& cell(const std::string& client,
                            std::size_t set_size) const;

@@ -226,8 +226,8 @@ std::vector<ShardSpec> plan_fleet_shards(const FleetSpec& spec,
               "plan_fleet_shards: no transfers");
 
   const ScenarioGenerator generator(spec.seed, spec.knobs);
-  const std::size_t subset =
-      std::min(spec.probe_set, spec.relays_per_client);
+  PolicyParams params = spec.policy;
+  params.subset_size = std::min(spec.probe_set, spec.relays_per_client);
 
   std::vector<ShardSpec> shards;
   for (std::size_t begin = 0; begin < fleet.clients().size();
@@ -260,19 +260,10 @@ std::vector<ShardSpec> plan_fleet_shards(const FleetSpec& spec,
       session.interval = spec.interval;
       session.client_seed =
           util::child_stream(shard_seed, fnv1a(client.name) * 29);
-      if (spec.policy.has_value()) {
-        PolicyParams params = *spec.policy;
-        params.subset_size = subset;
-        session.policy_factory =
-            [params](ClientWorld&) -> std::unique_ptr<core::SelectionPolicy> {
-          return make_policy(params);
-        };
-      } else {
-        session.policy_factory =
-            [subset](ClientWorld&) -> std::unique_ptr<core::SelectionPolicy> {
-          return std::make_unique<core::UniformRandomSubsetPolicy>(subset);
-        };
-      }
+      session.policy_factory =
+          [params](ClientWorld&) -> std::unique_ptr<core::SelectionPolicy> {
+        return make_policy(params);
+      };
       shard.sessions.push_back(std::move(session));
     }
     shards.push_back(std::move(shard));

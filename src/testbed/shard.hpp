@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,7 +127,7 @@ struct FleetSpec {
   std::size_t relay_pool = 200;
   /// Candidate relays per client, sampled from the pool per client name.
   std::size_t relays_per_client = 3;
-  /// Relays raced per transfer (UniformRandomSubsetPolicy subset size).
+  /// Relays raced per transfer (the policy's subset size).
   std::size_t probe_set = 2;
   std::size_t transfers_per_client = 64;
   /// Paper cadence (one transfer per 6 minutes). Long enough that even a
@@ -139,11 +138,11 @@ struct FleetSpec {
   std::size_t clients_per_shard = 4;
   std::string server = "eBay";
   ScenarioKnobs knobs{};
-  /// When set, every client runs this selection policy family instead of
-  /// the default uniform subset (subset_size is still min(probe_set,
-  /// relays_per_client)). Each session builds its own policy instance, so
+  /// Selection policy of every client (default: the uniform random
+  /// subset); subset_size is replaced by min(probe_set,
+  /// relays_per_client). Each session builds its own policy instance, so
   /// per-shard estimate state never crosses shard boundaries.
-  std::optional<PolicyParams> policy;
+  PolicyParams policy;
 };
 
 class SyntheticFleet {

@@ -101,6 +101,9 @@ TEST(Section2, ThreadCountDoesNotChangeResults) {
   const Section2Result serial = run_section2(config);
   config.threads = 4;
   const Section2Result parallel = run_section2(config);
+  EXPECT_EQ(serial.summary.transfers, 4u * 6u);
+  EXPECT_EQ(parallel.summary.digest, serial.summary.digest);
+  EXPECT_EQ(parallel.metrics.to_json(), serial.metrics.to_json());
   ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
   for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
     ASSERT_EQ(serial.sessions[i].client, parallel.sessions[i].client);
@@ -232,12 +235,30 @@ TEST(Section4, LargerSetsDoNotHurtMuch) {
   }
 }
 
+TEST(Section4, ThreadCountDoesNotChangeResults) {
+  Section4Config config = small_section4();
+  config.threads = 1;
+  const Section4Result serial = run_section4(config);
+  config.threads = 4;
+  const Section4Result parallel = run_section4(config);
+  EXPECT_EQ(serial.summary.transfers, 6u * 15u);
+  EXPECT_EQ(parallel.summary.digest, serial.summary.digest);
+  EXPECT_EQ(parallel.metrics.to_json(), serial.metrics.to_json());
+  ASSERT_EQ(serial.cells.size(), parallel.cells.size());
+  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+    EXPECT_EQ(serial.cells[i].client, parallel.cells[i].client);
+    EXPECT_EQ(serial.cells[i].set_size, parallel.cells[i].set_size);
+    EXPECT_EQ(serial.cells[i].avg_improvement_pct,
+              parallel.cells[i].avg_improvement_pct);
+  }
+}
+
 TEST(Section4, WeightedPolicyRuns) {
   Section4Config config = small_section4();
   config.clients = {"Italy"};
   config.client_inbound_mbps = {1.2};
   config.set_sizes = {4};
-  config.policy = SubsetPolicyKind::Weighted;
+  config.policy.kind = PolicyKind::Weighted;
   const Section4Result result = run_section4(config);
   ASSERT_EQ(result.cells.size(), 1u);
   EXPECT_EQ(result.cells[0].session.transfers.size(), 15u);

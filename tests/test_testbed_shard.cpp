@@ -206,19 +206,18 @@ TEST(RunSharded, PassivePoliciesBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(RunSharded, PolicyChangesTheRunDefaultDoesNot) {
-  // FleetSpec.policy == nullopt and an explicit AlwaysRace-over-uniform
-  // must be behaviorally identical (same digest): the hook's default
-  // preserves the pre-policy runs bit for bit. A pinning policy, by
-  // contrast, must actually change the transfer stream.
+  // The default FleetSpec.policy (uniform) and an explicit
+  // AlwaysRace-over-uniform must be behaviorally identical (same digest):
+  // the hook's default preserves the pre-policy runs bit for bit. A
+  // pinning policy, by contrast, must actually change the transfer
+  // stream.
   const FleetSpec plain = small_fleet();
+  EXPECT_EQ(plain.policy.kind, PolicyKind::Uniform);
   FleetSpec always = small_fleet();
-  PolicyParams params;
-  params.kind = PolicyKind::AlwaysRace;
-  always.policy = params;
+  always.policy.kind = PolicyKind::AlwaysRace;
   FleetSpec stale = small_fleet();
-  params.kind = PolicyKind::RaceOnStaleness;
-  params.staleness_threshold = 900.0;
-  stale.policy = params;
+  stale.policy.kind = PolicyKind::RaceOnStaleness;
+  stale.policy.staleness_threshold = 900.0;
 
   const SyntheticFleet fleet(plain);
   const ShardRunResult plain_run =
