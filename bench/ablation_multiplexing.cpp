@@ -65,8 +65,7 @@ Sample run_case(std::uint64_t seed, Setup&& setup) {
     if (!sim.step()) break;
   }
   static_cast<void>(hold);
-  g_sim_work += testbed::SchedulerWork{sim.executed(), sim.cancellations(),
-                                       sim.reschedules()};
+  g_sim_work += sim.work();
   return sample;
 }
 

@@ -115,10 +115,7 @@ LevelResult run_level(std::uint64_t seed, std::size_t concurrent,
   }
   session.transfers_shed = world.engine().transfers_shed();
   session.transfers_queued = world.engine().transfers_queued();
-  const sim::Simulator& s = world.simulator();
-  session.sim_work.executed = s.executed();
-  session.sim_work.cancellations = s.cancellations();
-  session.sim_work.reschedules = s.reschedules();
+  session.sim_work = world.simulator().work();
   return out;
 }
 

@@ -86,9 +86,8 @@ util::OnlineStats run_chooser_session(const testbed::WorldParams& params,
   }
   const sim::Simulator& sa = world_a.simulator();
   const sim::Simulator& sb = world_b.simulator();
-  g_sim_work += testbed::SchedulerWork{sa.executed() + sb.executed(),
-                                       sa.cancellations() + sb.cancellations(),
-                                       sa.reschedules() + sb.reschedules()};
+  g_sim_work += sa.work();
+  g_sim_work += sb.work();
   return improvements;
 }
 

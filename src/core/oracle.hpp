@@ -2,7 +2,11 @@
 // link capacities and hands the probe race only the relay whose path has
 // the highest instantaneous bottleneck bandwidth. No real client can do
 // this — it is the upper bound the ablations compare the probe race and
-// history predictors against.
+// history predictors against. It reads Topology capacities directly, which
+// is exact on a static topology; under a FlowSimulator with capacity
+// processes an idle link's capacity lags until a flow joins it (see
+// net::Link), so such worlds would have to score paths through
+// FlowSimulator::link_capacity().
 #pragma once
 
 #include "core/selection_policy.hpp"

@@ -67,10 +67,13 @@ class SimRace final : public RaceDriver,
   void cancel_lane(std::size_t lane) override { engine_.cancel(lanes_[lane]); }
 
   void arm_timer(double delay) override {
-    timer_ = simulator().schedule_in(delay, [self = shared_from_this()] {
-      self->timer_ = 0;
-      self->machine_.on_timer();
-    });
+    timer_ = simulator().schedule_in(
+        delay,
+        [self = shared_from_this()] {
+          self->timer_ = 0;
+          self->machine_.on_timer();
+        },
+        sim::EventKind::kRaceTimer);
   }
 
   void cancel_timer() override {

@@ -65,44 +65,76 @@ FlowSimulator::Counters FlowSimulator::counters_from(
 void FlowSimulator::attach_capacity_process(
     net::LinkId link, std::unique_ptr<net::CapacityProcess> process) {
   IDR_REQUIRE(process != nullptr, "attach_capacity_process: null process");
-  IDR_REQUIRE(!capacity_slots_.contains(link),
+  IDR_REQUIRE(link < topo_.link_count(),
+              "attach_capacity_process: unknown link");
+  if (capacity_slots_.size() <= link) capacity_slots_.resize(link + 1);
+  CapacitySlot& slot = capacity_slots_[link];
+  IDR_REQUIRE(slot.process == nullptr,
               "attach_capacity_process: link already has a process");
-  auto [it, inserted] = capacity_slots_.emplace(
-      link,
-      CapacitySlot{std::move(process),
-                   rng_.child(0x9000 + static_cast<std::uint64_t>(link)), 0,
-                   net::CapacityChange{}, false});
-  CapacitySlot& slot = it->second;
+  slot.process = std::move(process);
+  slot.rng = rng_.child(0x9000 + static_cast<std::uint64_t>(link));
   // Clamp exactly like subsequent changes so a degenerate initial draw
   // cannot produce a zero-capacity link.
   topo_.mutable_link(link).capacity =
       std::max(slot.process->initial(slot.rng), kCapacityFloor);
   const net::LinkId seed[1] = {link};
   reallocate_for_links(seed);
-  schedule_capacity_change(link);
+  slot.next_time = sim_.now();
+  draw_capacity_change(slot);
+  if (!index_.users_on(link).empty()) wake_capacity(seed);
 }
 
-void FlowSimulator::schedule_capacity_change(net::LinkId link) {
-  CapacitySlot& slot = capacity_slots_.at(link);
-  const net::CapacityChange change = slot.process->next(slot.rng);
-  if (std::isinf(change.dwell)) {  // process has gone quiescent
-    slot.armed = false;
-    return;
+Rate FlowSimulator::link_capacity(net::LinkId link) {
+  if (CapacitySlot* slot = capacity_slot(link)) catch_up(link, *slot);
+  return topo_.link(link).capacity;
+}
+
+FlowSimulator::CapacitySlot* FlowSimulator::capacity_slot(net::LinkId link) {
+  if (link >= capacity_slots_.size()) return nullptr;
+  CapacitySlot& slot = capacity_slots_[link];
+  return slot.process != nullptr ? &slot : nullptr;
+}
+
+void FlowSimulator::draw_capacity_change(CapacitySlot& slot) {
+  slot.pending = slot.process->next(slot.rng);
+  // The same sum an eager timer formed as now() + dwell when it fired at
+  // next_time; an infinite dwell (quiescent process) never falls due.
+  slot.next_time += slot.pending.dwell;
+}
+
+void FlowSimulator::catch_up(net::LinkId link, CapacitySlot& slot) {
+  while (slot.next_time < sim_.now()) {
+    topo_.mutable_link(link).capacity =
+        std::max(slot.pending.capacity, kCapacityFloor);
+    draw_capacity_change(slot);
   }
-  slot.pending = change;
-  if (slot.armed) {
-    // Called from the change event's own callback: re-arm the same event
-    // in place for the next dwell, closure and id intact.
-    sim_.reschedule_in(slot.event, change.dwell);
-  } else {
-    slot.armed = true;
-    slot.event = sim_.schedule_in(change.dwell,
-                                  [this, link] { on_capacity_change(link); });
+}
+
+void FlowSimulator::wake_capacity(std::span<const net::LinkId> links) {
+  for (const net::LinkId l : links) {
+    CapacitySlot* slot = capacity_slot(l);
+    if (slot == nullptr || slot->event != 0) continue;
+    catch_up(l, *slot);
+    if (std::isinf(slot->next_time)) continue;
+    slot->event = sim_.schedule_at(
+        slot->next_time, [this, l] { on_capacity_change(l); },
+        sim::EventKind::kCapacity);
+  }
+}
+
+void FlowSimulator::park_capacity(std::span<const net::LinkId> links) {
+  for (const net::LinkId l : links) {
+    CapacitySlot* slot = capacity_slot(l);
+    if (slot == nullptr || slot->event == 0 || !index_.users_on(l).empty()) {
+      continue;
+    }
+    sim_.cancel(slot->event);
+    slot->event = 0;
   }
 }
 
 void FlowSimulator::on_capacity_change(net::LinkId link) {
-  CapacitySlot& slot = capacity_slots_.at(link);
+  CapacitySlot& slot = capacity_slots_[link];
   const Rate capacity = std::max(slot.pending.capacity, kCapacityFloor);
   if (capacity == topo_.link(link).capacity) {
     // The process re-drew the current level; no rate can change.
@@ -112,7 +144,13 @@ void FlowSimulator::on_capacity_change(net::LinkId link) {
     const net::LinkId seed[1] = {link};
     reallocate_for_links(seed);
   }
-  schedule_capacity_change(link);
+  draw_capacity_change(slot);
+  if (std::isinf(slot.next_time)) {
+    slot.event = 0;  // quiescent: the firing event is not re-armed
+  } else {
+    // Re-arm the firing event in place: closure and id intact.
+    sim_.reschedule_at(slot.event, slot.next_time);
+  }
 }
 
 FlowId FlowSimulator::start_flow(const net::Path& path, Bytes size,
@@ -149,13 +187,15 @@ FlowId FlowSimulator::start_flow(const net::Path& path, Bytes size,
     f.ss_round = 0;
     f.ss_cap = slow_start_cap(f.tcp, f.rtt, 0);
     const FlowId id = f.id;
-    f.ss_event =
-        sim_.schedule_in(f.rtt, [this, id] { on_slow_start_round(id); });
+    f.ss_event = sim_.schedule_in(
+        f.rtt, [this, id] { on_slow_start_round(id); },
+        sim::EventKind::kSlowStart);
   }
 
   const FlowId id = f.id;
   const auto [it, inserted] = flows_.emplace(id, std::move(f));
   IDR_REQUIRE(inserted, "start_flow: duplicate flow id");
+  wake_capacity(it->second.path.links);
   index_.ensure_links(topo_.link_count());
   index_.add(id, it->second.path.links);
   g_flows_active_.set(static_cast<double>(flows_.size()));
@@ -195,6 +235,7 @@ bool FlowSimulator::cancel_flow(FlowId id) {
   if (f.in_slow_start) sim_.cancel(f.ss_event);
   if (f.completion_armed) sim_.cancel(f.completion_event);
   index_.remove(id, f.path.links);
+  park_capacity(f.path.links);
   // Only the departing flow's component can change; seed the recompute
   // with its links (kept alive across the erase).
   const net::Path path = std::move(f.path);
@@ -262,8 +303,8 @@ void FlowSimulator::arm_completion(FlowState& f) {
     sim_.reschedule_in(f.completion_event, eta);
   } else {
     const FlowId id = f.id;
-    f.completion_event =
-        sim_.schedule_in(eta, [this, id] { on_completion(id); });
+    f.completion_event = sim_.schedule_in(
+        eta, [this, id] { on_completion(id); }, sim::EventKind::kCompletion);
     f.completion_armed = true;
   }
   c_timer_rearms_.inc();
@@ -351,6 +392,7 @@ void FlowSimulator::on_completion(FlowId id) {
   if (f.in_slow_start) sim_.cancel(f.ss_event);
   CompletionCallback cb = std::move(f.on_done);
   index_.remove(id, f.path.links);
+  park_capacity(f.path.links);
   const net::Path path = std::move(f.path);
   flows_.erase(it);
   g_flows_active_.set(static_cast<double>(flows_.size()));

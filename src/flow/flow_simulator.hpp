@@ -18,6 +18,15 @@
 // recompute entirely. The computed rates are identical to a from-scratch
 // global allocation — max-min decomposes exactly across components.
 //
+// Capacity processes are lazy. A link that carries no flow keeps its
+// process parked: the next drawn change and its absolute due time, but no
+// queued event. When a flow joins, the process catches up — it replays
+// every change due strictly before now() from the link's own RNG stream,
+// with the same `t + dwell` arithmetic the eager timer used — and arms one
+// change event; when the last flow leaves, the event is cancelled and the
+// link parks again. Every capacity a flow sees is bit-for-bit what an
+// eagerly stepped process would show, while idle links cost no events.
+//
 // This is the standard fidelity/performance point for studying transfer
 // throughput over minutes-to-hours timescales: packet dynamics are
 // abstracted into the TCP rate caps, while bandwidth sharing, path
@@ -116,9 +125,16 @@ class FlowSimulator {
   FlowSimulator& operator=(const FlowSimulator&) = delete;
 
   /// Attaches a time-varying capacity process to a link. Applies the
-  /// process's initial capacity immediately and schedules future changes.
+  /// process's initial capacity immediately; later changes are applied as
+  /// they fall due while the link carries flows, and caught up on demand
+  /// while it is idle.
   void attach_capacity_process(net::LinkId link,
                                std::unique_ptr<net::CapacityProcess> process);
+
+  /// Current capacity of a link, with its capacity process (if any)
+  /// caught up to now(). Read this rather than Topology::link().capacity,
+  /// which is current only while the link carries a flow.
+  Rate link_capacity(net::LinkId link);
 
   /// Starts a transfer of `size` bytes along `path`. The callback fires
   /// when the last byte drains (it may start new flows). Returns a handle
@@ -210,15 +226,17 @@ class FlowSimulator {
     CompletionCallback on_done;
   };
 
+  /// A link's capacity process: armed while the link carries flows (one
+  /// change event, rescheduled in place on every dwell), parked otherwise.
   struct CapacitySlot {
-    std::unique_ptr<net::CapacityProcess> process;
-    util::Rng rng;
-    /// One change event per link, armed for the slot's whole life and
-    /// rescheduled in place on every dwell; `pending` carries the level
-    /// the armed event will apply.
-    sim::EventId event = 0;
+    std::unique_ptr<net::CapacityProcess> process;  // null: no process
+    util::Rng rng{0};
+    /// The next change and its absolute due time (infinity once the
+    /// process is quiescent). Both are kept while parked.
     net::CapacityChange pending{};
-    bool armed = false;
+    TimePoint next_time = 0.0;
+    /// The armed change event; 0 while parked.
+    sim::EventId event = 0;
   };
 
   /// Effective cap of a flow right now (TCP ramp/ceiling, scale, external).
@@ -238,14 +256,26 @@ class FlowSimulator {
   void arm_completion(FlowState& f);
   void on_completion(FlowId id);
   void on_slow_start_round(FlowId id);
-  void schedule_capacity_change(net::LinkId link);
+  /// The link's capacity slot, or null when it has no process.
+  CapacitySlot* capacity_slot(net::LinkId link);
+  /// Draws the change after `pending` and advances `next_time` to it.
+  static void draw_capacity_change(CapacitySlot& slot);
+  /// Applies every parked change due strictly before now(); one due
+  /// exactly now stays pending, to fire after the current event.
+  void catch_up(net::LinkId link, CapacitySlot& slot);
+  /// Catches up and arms the change event of each parked link on `links`
+  /// (a flow is joining them).
+  void wake_capacity(std::span<const net::LinkId> links);
+  /// Cancels the change event of each armed link on `links` left with no
+  /// flow (a flow has left them).
+  void park_capacity(std::span<const net::LinkId> links);
   void on_capacity_change(net::LinkId link);
 
   sim::Simulator& sim_;
   net::Topology& topo_;
   util::Rng rng_;
   std::unordered_map<FlowId, FlowState> flows_;
-  std::unordered_map<net::LinkId, CapacitySlot> capacity_slots_;
+  std::vector<CapacitySlot> capacity_slots_;  // by LinkId
   FlowId next_id_ = 0;
 
   // Incidence index plus reused recompute buffers; all steady-state

@@ -35,8 +35,12 @@ struct Node {
   bool transit = true;
 };
 
-/// A directed link. `capacity` is the *current* available capacity seen by
-/// foreground flows; capacity processes update it over time.
+/// A directed link. `capacity` is the available capacity seen by
+/// foreground flows; capacity processes update it over time. A link whose
+/// capacity process is driven by flow::FlowSimulator is kept current only
+/// while it carries a flow — an idle link's process is parked and caught
+/// up when a flow joins — so read it through FlowSimulator::link_capacity()
+/// rather than here when the link may be idle.
 struct Link {
   LinkId id = kInvalidLink;
   NodeId from = kInvalidNode;
@@ -96,7 +100,8 @@ class Topology {
   /// Sum of per-link propagation delays.
   Duration path_delay(const Path& path) const;
 
-  /// min over links of current capacity (the fluid bottleneck).
+  /// min over links of `capacity` (the fluid bottleneck); see Link for
+  /// when a process-driven capacity is current.
   Rate path_bottleneck(const Path& path) const;
 
   /// 1 - prod(1 - loss_i): end-to-end loss assuming independence.

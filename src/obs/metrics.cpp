@@ -391,6 +391,10 @@ void Snapshot::merge(const Snapshot& other) {
   }
   for (; i < metrics.size(); ++i) merged.push_back(std::move(metrics[i]));
   for (; j < rhs->size(); ++j) merged.push_back((*rhs)[j]);
+  // The reserve above assumed disjoint series; merging snapshots of the
+  // same series (the usual case) would otherwise keep half the array as
+  // slack in every snapshot a caller retains.
+  merged.shrink_to_fit();
   metrics = std::move(merged);
 }
 

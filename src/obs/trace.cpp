@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/json.hpp"
@@ -174,9 +175,22 @@ std::string render_args(const TraceEvent& ev) {
 
 std::string Tracer::to_chrome_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Parallel workers append in completion order; dump in (pid, track,
+  // start) order instead, ties kept in append order. Each track is written
+  // by one thread, so the bytes no longer depend on worker scheduling.
+  std::vector<const TraceEvent*> order;
+  order.reserve(events_.size());
+  for (const TraceEvent& ev : events_) order.push_back(&ev);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     if (a->pid != b->pid) return a->pid < b->pid;
+                     if (a->track != b->track) return a->track < b->track;
+                     return a->ts_us < b->ts_us;
+                   });
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& ev : events_) {
+  for (const TraceEvent* e : order) {
+    const TraceEvent& ev = *e;
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\":";

@@ -137,6 +137,8 @@ class Tracer {
   std::size_t count_spans(std::string_view name) const;
 
   /// {"traceEvents":[...]} — chrome://tracing / Perfetto loadable.
+  /// Events are listed by (pid, track, start time), ties in append order,
+  /// so the bytes do not depend on which worker thread finished first.
   std::string to_chrome_json() const;
 
  private:

@@ -46,7 +46,7 @@ void TransferEngine::fail_async(TransferHandle handle, std::string error) {
   active.result.ok = false;
   active.result.error = std::move(error);
   active.timer = fsim_.simulator().schedule_in(
-      0.0, [this, handle] { finish(handle); });
+      0.0, [this, handle] { finish(handle); }, sim::EventKind::kTransfer);
 }
 
 void TransferEngine::abort_transfer(TransferHandle handle,
@@ -70,7 +70,7 @@ void TransferEngine::abort_transfer(TransferHandle handle,
   active.result.ok = false;
   active.result.error = error;
   active.timer = fsim_.simulator().schedule_in(
-      0.0, [this, handle] { finish(handle); });
+      0.0, [this, handle] { finish(handle); }, sim::EventKind::kTransfer);
   c_faults_injected_.inc();
   // The dead transfer's slot frees immediately; a queued successor (not
   // itself a victim of this sweep) may be admitted right away.
@@ -199,7 +199,8 @@ void TransferEngine::start_transfer(TransferHandle handle,
   Duration setup_delay = 0.0;
 
   if (!request.relay) {
-    const auto direct = net::shortest_path(topo, server_node, request.client);
+    const std::optional<net::Path>& direct =
+        route(server_node, request.client);
     if (!direct) {
       release_slot(active);
       fail_async(handle, "no direct route");
@@ -219,8 +220,8 @@ void TransferEngine::start_transfer(TransferHandle handle,
     }
   } else {
     const net::NodeId relay = *request.relay;
-    const auto leg_sr = net::shortest_path(topo, server_node, relay);
-    const auto leg_rc = net::shortest_path(topo, relay, request.client);
+    const std::optional<net::Path>& leg_sr = route(server_node, relay);
+    const std::optional<net::Path>& leg_rc = route(relay, request.client);
     if (!leg_sr || !leg_rc) {
       release_slot(active);
       fail_async(handle, "no route via relay");
@@ -285,12 +286,30 @@ void TransferEngine::start_transfer(TransferHandle handle,
               // the sender drains it.
               done.phase = Phase::kTail;
               done.timer = fsim_.simulator().schedule_in(
-                  done.tail_delay, [this, handle] {
+                  done.tail_delay,
+                  [this, handle] {
                     transfers_.at(handle).result.ok = true;
                     finish(handle);
-                  });
+                  },
+                  sim::EventKind::kTransfer);
             });
-      });
+      },
+      sim::EventKind::kTransfer);
+}
+
+const std::optional<net::Path>& TransferEngine::route(net::NodeId from,
+                                                     net::NodeId to) {
+  const net::Topology& topo = fsim_.topology();
+  if (topo.link_count() != routes_link_count_) {
+    routes_.clear();
+    routes_link_count_ = topo.link_count();
+  }
+  const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
+  auto it = routes_.find(key);
+  if (it == routes_.end()) {
+    it = routes_.emplace(key, net::shortest_path(topo, from, to)).first;
+  }
+  return it->second;
 }
 
 void TransferEngine::release_slot(Active& active) {

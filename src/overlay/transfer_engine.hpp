@@ -221,6 +221,11 @@ class TransferEngine {
   /// Kills every in-flight transfer matching relay (kInvalidNode = the
   /// direct path) in handle order.
   void abort_transfers_via(net::NodeId relay, const char* error);
+  /// Shortest route from -> to (nullopt: unreachable), memoized per pair.
+  /// Routes depend only on the link set, so the cache is dropped whenever
+  /// the topology's link count changes. The reference stays valid until
+  /// the next call that finds a changed link count.
+  const std::optional<net::Path>& route(net::NodeId from, net::NodeId to);
 
   flow::FlowSimulator& fsim_;
   std::unordered_map<net::NodeId, RelayParams> relay_params_;
@@ -232,6 +237,8 @@ class TransferEngine {
   std::unordered_set<net::NodeId> down_relays_;
   bool direct_down_ = false;
   std::unordered_map<net::NodeId, RelayGate> gates_;
+  std::unordered_map<std::uint64_t, std::optional<net::Path>> routes_;
+  std::size_t routes_link_count_ = 0;  // link count routes_ was built on
 
   // `sim.engine.*` series, registered into the world registry owned by
   // the flow simulator (one snapshot covers the whole world). Handles are

@@ -5,10 +5,26 @@
 
 namespace idr::sim {
 
+const char* event_kind_name(EventKind kind) {
+  switch (kind) {
+    case EventKind::kOther: return "other";
+    case EventKind::kCapacity: return "capacity";
+    case EventKind::kSlowStart: return "slow_start";
+    case EventKind::kCompletion: return "completion";
+    case EventKind::kTransfer: return "transfer";
+    case EventKind::kCadence: return "cadence";
+    case EventKind::kRaceTimer: return "race_timer";
+    case EventKind::kSampler: return "sampler";
+    case EventKind::kFault: return "fault";
+  }
+  return "unknown";
+}
+
 // The slab, heap and free list only ever grow to the high-water pending
 // count; every steady-state operation below recycles that storage.
 
-EventId Simulator::schedule_impl(TimePoint t, EventClosure fn) {
+EventId Simulator::schedule_impl(TimePoint t, EventClosure fn,
+                                 EventKind kind) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -20,7 +36,7 @@ EventId Simulator::schedule_impl(TimePoint t, EventClosure fn) {
   }
   Node& node = nodes_[slot];
   node.fn = std::move(fn);
-  heap_insert(t, ++next_seq_, slot);
+  heap_insert(HeapEntry{t, ++next_seq_, slot, kind});
   return make_id(node.gen, slot);
 }
 
@@ -76,7 +92,8 @@ bool Simulator::reschedule_at(EventId id, TimePoint t) {
   }
   const std::uint32_t pos = node->pos;
   const HeapEntry moved{t, seq,
-                        static_cast<std::uint32_t>(node - nodes_.data())};
+                        static_cast<std::uint32_t>(node - nodes_.data()),
+                        heap_[pos].kind};
   if (before(moved, heap_[pos])) {
     heap_[pos] = moved;
     sift_up(pos);
@@ -87,11 +104,10 @@ bool Simulator::reschedule_at(EventId id, TimePoint t) {
   return true;
 }
 
-void Simulator::heap_insert(TimePoint t, std::uint64_t seq,
-                            std::uint32_t node) {
+void Simulator::heap_insert(const HeapEntry& e) {
   const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{t, seq, node});
-  nodes_[node].pos = pos;
+  heap_.push_back(e);
+  nodes_[e.node].pos = pos;
   sift_up(pos);
 }
 
@@ -149,6 +165,7 @@ TimePoint Simulator::next_event_time() const {
 bool Simulator::pop_and_run() {
   if (heap_.empty()) return false;
   const std::uint32_t slot = heap_[0].node;
+  const EventKind kind = heap_[0].kind;
   now_ = heap_[0].time;
   heap_remove(0);
   // Move the callback to the stack before invoking: the callback may
@@ -157,11 +174,12 @@ bool Simulator::pop_and_run() {
   EventClosure fn = std::move(nodes_[slot].fn);
   nodes_[slot].pos = kFiring;
   ++executed_;
+  ++executed_by_kind_[static_cast<std::size_t>(kind)];
   fn();
   Node& node = nodes_[slot];  // re-resolve: the slab may have moved
   if (node.pos == kRescheduled) {
     node.fn = std::move(fn);
-    heap_insert(firing_time_, firing_seq_, slot);
+    heap_insert(HeapEntry{firing_time_, firing_seq_, slot, kind});
   } else {
     free_node(slot);
   }

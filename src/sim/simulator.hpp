@@ -16,8 +16,14 @@
 // the slab and heap have grown to the high-water mark, the steady-state
 // schedule / cancel / reschedule / dispatch loop performs zero heap
 // allocations and zero hash lookups (enforced by bench/perf_smoke.cpp).
+//
+// Event ledger: every event carries a static EventKind tag (kOther unless
+// the scheduler says otherwise), stored in the heap entry's padding, and
+// dispatch counts executed events per kind — so a run can say which layer
+// spends its events (capacity redraws, slow-start rounds, completions...).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +41,25 @@ using util::TimePoint;
 /// so 0 works as a "no event" sentinel.
 using EventId = std::uint64_t;
 
+/// What an event is for; fixed when it is scheduled and kept across
+/// reschedules. Only counted, never consulted for ordering.
+enum class EventKind : std::uint8_t {
+  kOther = 0,
+  kCapacity,    // link-capacity change (flow simulator)
+  kSlowStart,   // slow-start round boundary (flow simulator)
+  kCompletion,  // flow drained (flow simulator)
+  kTransfer,    // transfer-engine setup, delivery tail, error delivery
+  kCadence,     // a session's next transfer
+  kRaceTimer,   // probe-race timers
+  kSampler,     // virtual-time metrics sampler
+  kFault,       // fault-plane down/up windows and resets
+};
+inline constexpr std::size_t kEventKindCount =
+    static_cast<std::size_t>(EventKind::kFault) + 1;
+
+/// Stable lowercase name ("capacity", "slow_start", ...) for reports.
+const char* event_kind_name(EventKind kind);
+
 class Simulator {
  public:
   Simulator() = default;
@@ -45,21 +70,24 @@ class Simulator {
   TimePoint now() const { return now_; }
 
   /// Schedules `fn` at absolute time `t` (must be >= now()). Accepts any
-  /// `void()` callable; see EventClosure for the storage strategy.
+  /// `void()` callable; see EventClosure for the storage strategy. `kind`
+  /// tags the event for the per-kind executed counts.
   template <typename F>
-  EventId schedule_at(TimePoint t, F&& fn) {
+  EventId schedule_at(TimePoint t, F&& fn,
+                      EventKind kind = EventKind::kOther) {
     IDR_REQUIRE(t >= now_, "schedule_at: time in the past");
     if constexpr (requires { fn == nullptr; }) {
       IDR_REQUIRE(!(fn == nullptr), "schedule_at: null callback");
     }
-    return schedule_impl(t, EventClosure(std::forward<F>(fn)));
+    return schedule_impl(t, EventClosure(std::forward<F>(fn)), kind);
   }
 
   /// Schedules `fn` after `delay` (must be >= 0).
   template <typename F>
-  EventId schedule_in(Duration delay, F&& fn) {
+  EventId schedule_in(Duration delay, F&& fn,
+                      EventKind kind = EventKind::kOther) {
     IDR_REQUIRE(delay >= 0.0, "schedule_in: negative delay");
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+    return schedule_at(now_ + delay, std::forward<F>(fn), kind);
   }
 
   /// Cancels a pending event. Returns false if the event already fired,
@@ -104,6 +132,11 @@ class Simulator {
   /// Total events executed since construction.
   std::uint64_t executed() const { return executed_; }
 
+  /// Events executed since construction that were scheduled as `kind`.
+  std::uint64_t executed(EventKind kind) const {
+    return executed_by_kind_[static_cast<std::size_t>(kind)];
+  }
+
   /// Total events successfully cancelled since construction. Together
   /// with executed() and reschedules() this exposes timer churn.
   std::uint64_t cancellations() const { return cancellations_; }
@@ -114,25 +147,39 @@ class Simulator {
   /// periodic cadences).
   std::uint64_t reschedules() const { return reschedules_; }
 
-  /// The three churn counters in one read — what per-world aggregators
+  /// The churn counters in one read — what per-world aggregators
   /// (testbed sessions, shard merges) fold into their work tallies.
   struct WorkCounters {
     std::uint64_t executed = 0;
     std::uint64_t cancellations = 0;
     std::uint64_t reschedules = 0;
+    /// `executed`, split by EventKind (indexed by its value).
+    std::array<std::uint64_t, kEventKindCount> executed_by_kind{};
+
+    WorkCounters& operator+=(const WorkCounters& o) {
+      executed += o.executed;
+      cancellations += o.cancellations;
+      reschedules += o.reschedules;
+      for (std::size_t k = 0; k < kEventKindCount; ++k) {
+        executed_by_kind[k] += o.executed_by_kind[k];
+      }
+      return *this;
+    }
   };
   WorkCounters work() const {
-    return {executed_, cancellations_, reschedules_};
+    return {executed_, cancellations_, reschedules_, executed_by_kind_};
   }
 
  private:
   // Heap entries carry the ordering key (time, seq) so sifts compare
   // within the contiguous heap array; the node index links back to the
-  // slab for position bookkeeping and dispatch.
+  // slab for position bookkeeping and dispatch. The kind tag rides in
+  // what would otherwise be padding.
   struct HeapEntry {
     TimePoint time;
     std::uint64_t seq;  // FIFO tie-break among equal timestamps
     std::uint32_t node;
+    EventKind kind;
   };
 
   struct Node {
@@ -156,10 +203,10 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  EventId schedule_impl(TimePoint t, EventClosure fn);
+  EventId schedule_impl(TimePoint t, EventClosure fn, EventKind kind);
   /// Resolves an id to its slab slot; returns nullptr for stale/unknown.
   Node* resolve(EventId id);
-  void heap_insert(TimePoint t, std::uint64_t seq, std::uint32_t node);
+  void heap_insert(const HeapEntry& e);
   void heap_remove(std::uint32_t pos);
   void sift_up(std::uint32_t pos);
   void sift_down(std::uint32_t pos);
@@ -175,6 +222,7 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::uint64_t cancellations_ = 0;
   std::uint64_t reschedules_ = 0;
+  std::array<std::uint64_t, kEventKindCount> executed_by_kind_{};
   std::vector<HeapEntry> heap_;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_;

@@ -9,6 +9,7 @@
 #include "core/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "sim/simulator.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -51,23 +52,12 @@ struct TransferObservation {
 };
 
 /// Discrete-event scheduler work behind one session (both mirrored
-/// worlds summed): events fired plus the timer churn — in-place
-/// cancellations and reschedules — the run exerted on the event core.
-/// Benchmark drivers print these next to their figures/tables so a
-/// scheduler regression (e.g. churn reverting to cancel + re-schedule
-/// pairs) is visible without a profiler.
-struct SchedulerWork {
-  std::uint64_t executed = 0;
-  std::uint64_t cancellations = 0;
-  std::uint64_t reschedules = 0;
-
-  SchedulerWork& operator+=(const SchedulerWork& o) {
-    executed += o.executed;
-    cancellations += o.cancellations;
-    reschedules += o.reschedules;
-    return *this;
-  }
-};
+/// worlds summed): events fired, per kind and in total, plus the timer
+/// churn — in-place cancellations and reschedules — the run exerted on
+/// the event core. Benchmark drivers print these next to their
+/// figures/tables so a scheduler regression (e.g. churn reverting to
+/// cancel + re-schedule pairs) is visible without a profiler.
+using SchedulerWork = sim::Simulator::WorkCounters;
 
 /// All transfers of one (client, relay-or-policy) session.
 struct SessionResult {

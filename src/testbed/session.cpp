@@ -39,7 +39,7 @@ SessionOutput run_session(const SessionSpec& spec) {
           directs[k].rate = result.throughput();
           --pending_a;
         });
-  });
+  }, sim::EventKind::kCadence);
   while (pending_a > 0) {
     IDR_REQUIRE(world_a.simulator().step(),
                 "run_session: world A drained with transfers pending");
@@ -81,7 +81,7 @@ SessionOutput run_session(const SessionSpec& spec) {
           world_b.simulator().reschedule_at(
               sample_event,
               world_b.simulator().now() + spec.sample_period);
-        });
+        }, sim::EventKind::kSampler);
   }
 
   Cadence cad_b;
@@ -125,7 +125,7 @@ SessionOutput run_session(const SessionSpec& spec) {
       }
       --pending_b;
     });
-  });
+  }, sim::EventKind::kCadence);
   while (pending_b > 0) {
     IDR_REQUIRE(world_b.simulator().step(),
                 "run_session: world B drained with transfers pending");
@@ -144,11 +144,8 @@ SessionOutput run_session(const SessionSpec& spec) {
   session.faults_injected = world_b.engine().faults_injected();
   session.transfers_shed = world_b.engine().transfers_shed();
   session.transfers_queued = world_b.engine().transfers_queued();
-  const sim::Simulator::WorkCounters wa = world_a.simulator().work();
-  const sim::Simulator::WorkCounters wb = world_b.simulator().work();
-  session.sim_work.executed = wa.executed + wb.executed;
-  session.sim_work.cancellations = wa.cancellations + wb.cancellations;
-  session.sim_work.reschedules = wa.reschedules + wb.reschedules;
+  session.sim_work = world_a.simulator().work();
+  session.sim_work += world_b.simulator().work();
   // Fold the event-core totals into the selecting world's registry so one
   // snapshot carries the whole session, then merge the plain mirror's
   // series (same names; counters add).

@@ -113,21 +113,22 @@ ClientWorld::ClientWorld(const WorldParams& params,
         } else {
           engine_->set_relay_down(node, true);
         }
-      });
+      }, sim::EventKind::kFault);
       sim_.schedule_at(window.end, [this, node] {
         if (node == net::kInvalidNode) {
           engine_->set_direct_down(false);
         } else {
           engine_->set_relay_down(node, false);
         }
-      });
+      }, sim::EventKind::kFault);
     }
     for (const fault::FaultReset& reset : schedule_.resets) {
       const net::NodeId node = reset.target == fault::kDirectPath
                                    ? net::kInvalidNode
                                    : relays_.at(reset.target);
-      sim_.schedule_at(reset.time,
-                       [this, node] { engine_->inject_reset(node); });
+      sim_.schedule_at(
+          reset.time, [this, node] { engine_->inject_reset(node); },
+          sim::EventKind::kFault);
     }
   }
 }

@@ -261,12 +261,17 @@ TEST(FlowSimulator, InitialCapacityDrawIsClampedLikeLaterOnes) {
     net::CapacityChange next(util::Rng&) override { return {0.5, 0.125}; }
   };
   fsim.attach_capacity_process(link, std::make_unique<Tiny>());
-  EXPECT_EQ(topo.link(link).capacity, 1.0);
+  EXPECT_EQ(fsim.link_capacity(link), 1.0);
 
   // Subsequent draws clamp to the same floor, which also makes them
-  // detectably no-ops.
+  // detectably no-ops. An idle link's process stays parked, so a flow
+  // holds the link busy to make the changes fire as events.
+  FlowOptions opt;
+  opt.model_slow_start = false;
+  fsim.start_flow(net::Path{{link}}, 1e6, opt, nullptr);
   sim.run_until(1.1);
-  EXPECT_EQ(topo.link(link).capacity, 1.0);
+  EXPECT_EQ(sim.executed(sim::EventKind::kCapacity), 2u);  // t = 0.5, 1.0
+  EXPECT_EQ(fsim.link_capacity(link), 1.0);
   EXPECT_GE(fsim.counters().skipped_events, 2u);
 }
 

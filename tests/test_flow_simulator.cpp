@@ -1,10 +1,13 @@
 #include "flow/flow_simulator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <memory>
 #include <optional>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace idr::flow {
@@ -256,6 +259,157 @@ TEST(FlowSimulator, ManyFlowsConservation) {
   fx.sim.run();
   EXPECT_EQ(finished, 10);
   EXPECT_NEAR(last_finish, 1.0, 1e-9);
+}
+
+// --- Lazy capacity processes ---------------------------------------------
+
+/// The world's link process shape: AR(1) fluctuation times Markov jumps.
+std::unique_ptr<net::CapacityProcess> modulated_process() {
+  net::LognormalArCapacity::Params ar;
+  ar.mean = mbps(8.0);
+  ar.cv = 0.4;
+  ar.rho = 0.8;
+  ar.step = 30.0;
+  net::MarkovJumpCapacity::Params jump;
+  jump.base = 1.0;
+  jump.degraded_multiplier = 0.25;
+  jump.mean_normal_dwell = 600.0;
+  jump.mean_degraded_dwell = 120.0;
+  return std::make_unique<net::ModulatedCapacity>(
+      std::make_unique<net::LognormalArCapacity>(ar),
+      std::make_unique<net::MarkovJumpCapacity>(jump), 1.0);
+}
+
+/// Eager reference: steps a link's process through every change at its
+/// due time, drawing from the same per-link child stream the flow
+/// simulator derives (salt 0x9000 + link) and clamping to the same
+/// 1 B/s floor.
+class EagerReplay {
+ public:
+  EagerReplay(const util::Rng& root, net::LinkId link)
+      : rng_(root.child(0x9000 + static_cast<std::uint64_t>(link))),
+        process_(modulated_process()) {
+    capacity_ = std::max(process_->initial(rng_), 1.0);
+    pending_ = process_->next(rng_);
+    due_ = pending_.dwell;  // attached at t = 0
+  }
+
+  /// Capacity in force at `t` (non-decreasing across calls); a change due
+  /// exactly at `t` is not yet applied.
+  util::Rate at(util::TimePoint t) {
+    while (due_ < t) {
+      capacity_ = std::max(pending_.capacity, 1.0);
+      pending_ = process_->next(rng_);
+      due_ += pending_.dwell;
+      ++applied_;
+    }
+    return capacity_;
+  }
+
+  std::uint64_t applied() const { return applied_; }
+
+ private:
+  util::Rng rng_;
+  std::unique_ptr<net::CapacityProcess> process_;
+  util::Rate capacity_ = 0.0;
+  net::CapacityChange pending_{};
+  util::TimePoint due_ = 0.0;
+  std::uint64_t applied_ = 0;
+};
+
+TEST(FlowSimulatorLazyCapacity, CapacitiesMatchEagerReplay) {
+  const util::Rng root(31);
+  Fixture fx;
+  fx.fsim.emplace(fx.sim, fx.topo, root);
+  fx.fsim->attach_capacity_process(fx.link, modulated_process());
+  EagerReplay eager(root, fx.link);
+  EXPECT_EQ(fx.fsim->link_capacity(fx.link), eager.at(0.0));
+
+  // Seeded joins (some cancelled early, the rest drain) spaced so the
+  // link sits idle across many dwells, plus capacity reads at random
+  // times, busy or idle.
+  constexpr util::TimePoint kHorizon = 6.0 * 3600.0;
+  util::Rng script(77);
+  int joins = 0, reads = 0, cancels = 0;
+  for (util::TimePoint t = script.exponential(90.0); t < kHorizon;
+       t += script.exponential(90.0)) {
+    const util::Bytes size = script.uniform(1e5, 4e7);
+    const bool cancel = script.bernoulli(0.4);
+    const util::Duration hold = script.uniform(0.0, 30.0);
+    fx.sim.schedule_at(t, [&, size, cancel, hold] {
+      const FlowId id = fx.fsim->start_flow(fx.path(), size, FlowOptions{},
+                                            [](const FlowStats&) {});
+      // The allocation the joining flow got used this capacity.
+      EXPECT_EQ(fx.topo.link(fx.link).capacity, eager.at(fx.sim.now()))
+          << "join at t=" << fx.sim.now();
+      ++joins;
+      if (!cancel) return;
+      fx.sim.schedule_in(hold, [&, id] {
+        if (fx.fsim->cancel_flow(id)) ++cancels;
+      });
+    });
+  }
+  for (int i = 0; i < 400; ++i) {
+    fx.sim.schedule_at(script.uniform(0.0, kHorizon), [&] {
+      EXPECT_EQ(fx.fsim->link_capacity(fx.link), eager.at(fx.sim.now()))
+          << "read at t=" << fx.sim.now();
+      ++reads;
+    });
+  }
+  // Every flow has drained an hour past the last join; by then the
+  // process has parked again and left the heap empty.
+  fx.sim.run_until(kHorizon + 3600.0);
+
+  EXPECT_GT(joins, 150);
+  EXPECT_EQ(reads, 400);
+  EXPECT_GT(cancels, 10);
+  EXPECT_EQ(fx.fsim->active_flows(), 0u);
+  EXPECT_EQ(fx.sim.pending(), 0u);
+  // Only changes that fell due while the link was busy ran as events.
+  EXPECT_GT(fx.sim.executed(sim::EventKind::kCapacity), 0u);
+  EXPECT_LT(fx.sim.executed(sim::EventKind::kCapacity), eager.applied() / 2);
+}
+
+TEST(FlowSimulatorLazyCapacity, IdleLinksScheduleNoEvents) {
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const auto c = topo.add_node("c");
+  const auto ab = topo.add_link(a, b, mbps(8.0), milliseconds(10));
+  const auto bc = topo.add_link(b, c, mbps(8.0), milliseconds(10));
+  const auto ac = topo.add_link(a, c, mbps(8.0), milliseconds(10));
+  FlowSimulator fsim(sim, topo, util::Rng(9));
+  for (const net::LinkId l : {ab, bc, ac}) {
+    fsim.attach_capacity_process(l, modulated_process());
+  }
+  sim.run_until(3600.0);
+  EXPECT_EQ(sim.executed(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+
+  // A joining flow arms one change per process link on its path (ac
+  // stays parked), and its completion cancels them again.
+  bool done = false;
+  fsim.start_flow(net::Path{{ab, bc}}, 2e8, no_slow_start(),
+                  [&](const FlowStats&) { done = true; });
+  EXPECT_EQ(sim.pending(), 3u);  // two capacity changes + the completion
+  while (!done && sim.step()) {
+  }
+  EXPECT_TRUE(done);
+  EXPECT_GT(sim.executed(sim::EventKind::kCapacity), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+
+  // A second flow on a busy link shares its armed change; the link parks
+  // only when its last flow leaves.
+  const FlowId f1 = fsim.start_flow(net::Path{{ab}}, 1e9, no_slow_start(),
+                                    nullptr);
+  const FlowId f2 = fsim.start_flow(net::Path{{ab}}, 1e9, no_slow_start(),
+                                    nullptr);
+  EXPECT_EQ(sim.pending(), 3u);  // one capacity change + two completions
+  EXPECT_TRUE(fsim.cancel_flow(f1));
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_TRUE(fsim.cancel_flow(f2));
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 }  // namespace

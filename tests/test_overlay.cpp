@@ -104,6 +104,26 @@ TEST(TransferEngine, IndirectBeatsNarrowDirect) {
   EXPECT_LT(indirect->elapsed(), direct->elapsed());
 }
 
+TEST(TransferEngine, RouteCacheFollowsAddedLinks) {
+  World w;
+  const net::NodeId island = w.topo.add_node("island");
+  TransferRequest req = w.request();
+  req.client = island;
+  std::optional<TransferResult> first, second;
+  w.engine->begin(req, [&](const TransferResult& r) { first = r; });
+  w.sim.run();
+  ASSERT_TRUE(first);
+  EXPECT_FALSE(first->ok);
+  EXPECT_EQ(first->error, "no direct route");
+  // The engine memoizes routes, the unreachable one included; a new link
+  // must invalidate that.
+  w.topo.add_link(w.gw, island, mbps(50), milliseconds(5));
+  w.engine->begin(req, [&](const TransferResult& r) { second = r; });
+  w.sim.run();
+  ASSERT_TRUE(second);
+  EXPECT_TRUE(second->ok) << second->error;
+}
+
 TEST(TransferEngine, RangeLimitsBytes) {
   World w;
   TransferRequest req = w.request();

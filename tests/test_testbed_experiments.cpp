@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "obs/trace.hpp"
 #include "testbed/section2.hpp"
 #include "testbed/section4.hpp"
 #include "testbed/session.hpp"
@@ -97,11 +98,20 @@ TEST(Section2, ThreadCountDoesNotChangeResults) {
   config.clients = {"Italy", "Canada"};
   config.relays_per_client = 2;
   config.transfers_per_session = 6;
+  obs::Tracer serial_trace;
+  serial_trace.set_enabled(true);
+  config.tracer = &serial_trace;
   config.threads = 1;
   const Section2Result serial = run_section2(config);
+  obs::Tracer parallel_trace;
+  parallel_trace.set_enabled(true);
+  config.tracer = &parallel_trace;
   config.threads = 4;
   const Section2Result parallel = run_section2(config);
   EXPECT_EQ(serial.summary.transfers, 4u * 6u);
+  // The span dump is ordered by track and start, not worker completion.
+  EXPECT_GT(serial_trace.count_spans("probe_race"), 0u);
+  EXPECT_EQ(parallel_trace.to_chrome_json(), serial_trace.to_chrome_json());
   EXPECT_EQ(parallel.summary.digest, serial.summary.digest);
   EXPECT_EQ(parallel.metrics.to_json(), serial.metrics.to_json());
   ASSERT_EQ(serial.sessions.size(), parallel.sessions.size());
