@@ -40,8 +40,10 @@ util::OnlineStats run_chooser_session(const testbed::WorldParams& params,
                                       util::Duration interval,
                                       std::uint64_t seed,
                                       ChooserSession chooser) {
-  // Mirror A: plain direct reference.
-  testbed::ClientWorld world_a(params, false);
+  // Mirror A: plain direct reference. Both mirrors share the direct and
+  // access sample paths; A draws them, B reads them.
+  const testbed::MirroredPaths mirrored = testbed::MirroredPaths::make(params);
+  testbed::ClientWorld world_a(params, false, mirrored);
   std::vector<double> direct_rates(transfers, 0.0);
   std::size_t pending = transfers;
   for (std::size_t k = 0; k < transfers; ++k) {
@@ -58,7 +60,7 @@ util::OnlineStats run_chooser_session(const testbed::WorldParams& params,
   }
 
   // Mirror B: the chooser.
-  testbed::ClientWorld world_b(params, true);
+  testbed::ClientWorld world_b(params, true, mirrored);
   util::Rng rng(seed);
   util::OnlineStats improvements;
   std::size_t pending_b = transfers;

@@ -45,9 +45,10 @@ using namespace idr;
 
 int g_failures = 0;
 
-// Gate on executed events per transfer. Parked capacity processes put the
-// gate fleet at ~36.6; eager per-link redraws measured ~145.
-constexpr double kMaxEventsPerTransfer = 45.0;
+// Gate on executed events per transfer. Parked capacity processes and
+// parked slow-start ramps put the gate fleet at ~34.2; eager per-link
+// redraws measured ~145.
+constexpr double kMaxEventsPerTransfer = 40.0;
 
 void check(bool ok, const std::string& what) {
   if (!ok) {

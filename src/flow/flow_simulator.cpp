@@ -186,9 +186,10 @@ FlowId FlowSimulator::start_flow(const net::Path& path, Bytes size,
     f.in_slow_start = true;
     f.ss_round = 0;
     f.ss_cap = slow_start_cap(f.tcp, f.rtt, 0);
+    f.ss_next = f.start + f.rtt;
     const FlowId id = f.id;
-    f.ss_event = sim_.schedule_in(
-        f.rtt, [this, id] { on_slow_start_round(id); },
+    f.ss_event = sim_.schedule_at(
+        f.ss_next, [this, id] { on_slow_start_round(id); },
         sim::EventKind::kSlowStart);
   }
 
@@ -208,31 +209,51 @@ void FlowSimulator::on_slow_start_round(FlowId id) {
   if (it == flows_.end()) return;
   FlowState& f = it->second;
   const Rate cap_before = effective_cap(f);
-  ++f.ss_round;
-  f.ss_cap = slow_start_cap(f.tcp, f.rtt, f.ss_round);
-  const Rate stop_at = std::min(f.ceiling, kSlowStartStopBound);
-  if (f.ss_cap >= stop_at) {
-    f.in_slow_start = false;  // ramp complete; ceiling governs from here
-  } else {
-    // Self-reschedule of the firing round event: one event per ramp, no
-    // closure re-creation per round.
-    sim_.reschedule_in(f.ss_event, f.rtt);
-  }
+  step_slow_start(f);
   // The ramp only ever raises the effective cap. If the previous cap was
   // not binding (rate strictly below it), relaxing it further cannot
-  // change any allocation — skip the recompute.
+  // change any allocation — skip the recompute, and park the ramp: the
+  // firing event is not re-armed, and the rounds after this one are
+  // replayed by the next recompute that touches the flow.
   if (f.rate < cap_before) {
+    f.ss_event = 0;
     c_skipped_events_.inc();
     return;
   }
+  if (f.in_slow_start) {
+    // Self-reschedule of the firing round event: no closure re-creation
+    // per round.
+    sim_.reschedule_at(f.ss_event, f.ss_next);
+  } else {
+    f.ss_event = 0;  // ramp complete; ceiling governs from here
+  }
   reallocate_for_flow(id);
+}
+
+void FlowSimulator::step_slow_start(FlowState& f) {
+  ++f.ss_round;
+  f.ss_cap = slow_start_cap(f.tcp, f.rtt, f.ss_round);
+  if (f.ss_cap >= std::min(f.ceiling, kSlowStartStopBound)) {
+    f.in_slow_start = false;
+  } else {
+    // The sum reschedule_in formed when the round fired at ss_next.
+    f.ss_next += f.rtt;
+  }
+}
+
+void FlowSimulator::replay_slow_start(FlowState& f) {
+  while (f.in_slow_start && f.ss_event == 0 && f.ss_next < sim_.now()) {
+    step_slow_start(f);
+    c_skipped_events_.inc();
+  }
 }
 
 bool FlowSimulator::cancel_flow(FlowId id) {
   const auto it = flows_.find(id);
   if (it == flows_.end()) return false;
   FlowState& f = it->second;
-  if (f.in_slow_start) sim_.cancel(f.ss_event);
+  replay_slow_start(f);
+  if (f.ss_event != 0) sim_.cancel(f.ss_event);
   if (f.completion_armed) sim_.cancel(f.completion_event);
   index_.remove(id, f.path.links);
   park_capacity(f.path.links);
@@ -353,6 +374,7 @@ void FlowSimulator::reallocate_component() {
   comp_states_.clear();
   for (const FlowId id : comp_flows_) {
     FlowState& f = flows_.at(id);
+    replay_slow_start(f);
     comp_states_.push_back(&f);
     ws_.add_flow(effective_cap(f));
     for (const net::LinkId l : f.path.links) ws_.add_link(local_link_[l]);
@@ -367,10 +389,18 @@ void FlowSimulator::reallocate_component() {
     // Rates between events are exact in the fluid model, so an exact
     // comparison is the right test: an unchanged rate means the flow's
     // byte accounting and armed completion timer are still valid.
-    if (rate == f.rate) continue;
-    advance_flow(f);
-    f.rate = rate;
-    arm_completion(f);
+    if (rate != f.rate) {
+      advance_flow(f);
+      f.rate = rate;
+      arm_completion(f);
+    }
+    // A parked ramp whose cap now binds steps again from its next round.
+    if (f.in_slow_start && f.ss_event == 0 && !(f.rate < effective_cap(f))) {
+      const FlowId id = f.id;
+      f.ss_event = sim_.schedule_at(
+          f.ss_next, [this, id] { on_slow_start_round(id); },
+          sim::EventKind::kSlowStart);
+    }
   }
 }
 
@@ -389,7 +419,8 @@ void FlowSimulator::on_completion(FlowId id) {
   stats.size = f.size;
   stats.start_time = f.start;
   stats.finish_time = sim_.now();
-  if (f.in_slow_start) sim_.cancel(f.ss_event);
+  replay_slow_start(f);
+  if (f.ss_event != 0) sim_.cancel(f.ss_event);
   CompletionCallback cb = std::move(f.on_done);
   index_.remove(id, f.path.links);
   park_capacity(f.path.links);

@@ -18,6 +18,14 @@
 // recompute entirely. The computed rates are identical to a from-scratch
 // global allocation — max-min decomposes exactly across components.
 //
+// Slow-start ramps park the same way. A round whose previous cap was not
+// binding keeps its next due time but schedules no event: until the next
+// recompute touching the flow, its rate and cap stay fixed, so every later
+// round would also find the cap non-binding. That recompute first replays
+// the rounds due strictly before now() (same doubling, same `t + rtt`
+// sums) and re-arms the round event only if the flow binds after the
+// solve.
+//
 // Capacity processes are lazy. A link that carries no flow keeps its
 // process parked: the next drawn change and its absolute due time, but no
 // queued event. When a flow joins, the process catches up — it replays
@@ -219,7 +227,10 @@ class FlowSimulator {
     bool in_slow_start = false;
     int ss_round = 0;
     Rate ss_cap = kUnlimitedRate;
+    /// Due time of the next slow-start round, armed or parked.
+    TimePoint ss_next = 0.0;
     TcpConfig tcp{};
+    /// The armed round event; 0 while the ramp is parked or complete.
     sim::EventId ss_event = 0;
     sim::EventId completion_event = 0;
     bool completion_armed = false;
@@ -256,6 +267,12 @@ class FlowSimulator {
   void arm_completion(FlowState& f);
   void on_completion(FlowId id);
   void on_slow_start_round(FlowId id);
+  /// Steps the ramp past the round due at ss_next: doubles the cap, ends
+  /// slow start at the ceiling, else moves ss_next on by one RTT.
+  static void step_slow_start(FlowState& f);
+  /// Replays every round of a parked ramp due strictly before now(), each
+  /// counted as the skipped event it would have been.
+  void replay_slow_start(FlowState& f);
   /// The link's capacity slot, or null when it has no process.
   CapacitySlot* capacity_slot(net::LinkId link);
   /// Draws the change after `pending` and advances `next_time` to it.

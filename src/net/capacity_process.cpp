@@ -30,6 +30,7 @@ LognormalArCapacity::LognormalArCapacity(const Params& params) : p_(params) {
   IDR_REQUIRE(p_.step > 0.0, "LognormalArCapacity: non-positive step");
   if (p_.floor <= 0.0) p_.floor = p_.mean * 1e-3;
   sigma_ = std::sqrt(std::log1p(p_.cv * p_.cv));
+  innovation_sd_ = sigma_ * std::sqrt(std::max(0.0, 1.0 - p_.rho * p_.rho));
 }
 
 Rate LognormalArCapacity::sample() const {
@@ -45,9 +46,7 @@ Rate LognormalArCapacity::initial(util::Rng& rng) {
 
 CapacityChange LognormalArCapacity::next(util::Rng& rng) {
   if (sigma_ == 0.0) return {kNever, sample()};
-  const double innovation_sd =
-      sigma_ * std::sqrt(std::max(0.0, 1.0 - p_.rho * p_.rho));
-  z_ = p_.rho * z_ + rng.normal(0.0, innovation_sd);
+  z_ = p_.rho * z_ + rng.normal(0.0, innovation_sd_);
   return {p_.step, sample()};
 }
 
@@ -113,6 +112,41 @@ CapacityChange ModulatedCapacity::next(util::Rng& rng) {
     modulator_next_ = modulator_pending_.dwell;
   }
   return {dt, carrier_value_ * (modulator_value_ / modulator_base_)};
+}
+
+CapacityPathMemo::CapacityPathMemo(std::unique_ptr<CapacityProcess> inner)
+    : inner_(std::move(inner)) {
+  IDR_REQUIRE(inner_ != nullptr, "CapacityPathMemo: null process");
+}
+
+SharedCapacityProcess::SharedCapacityProcess(
+    std::shared_ptr<CapacityPathMemo> memo)
+    : memo_(std::move(memo)) {
+  IDR_REQUIRE(memo_ != nullptr, "SharedCapacityProcess: null memo");
+}
+
+Rate SharedCapacityProcess::initial(util::Rng& rng) {
+  CapacityPathMemo& m = *memo_;
+  cursor_ = 0;
+  if (!m.rng_) {
+    m.fingerprint_ = rng.fingerprint();
+    m.rng_.emplace(rng);
+    m.initial_ = m.inner_->initial(*m.rng_);
+  } else {
+    IDR_REQUIRE(rng.fingerprint() == m.fingerprint_,
+                "SharedCapacityProcess: reader on a different stream");
+  }
+  return m.initial_;
+}
+
+CapacityChange SharedCapacityProcess::next(util::Rng&) {
+  CapacityPathMemo& m = *memo_;
+  IDR_REQUIRE(m.rng_.has_value(),
+              "SharedCapacityProcess: next() before initial()");
+  if (cursor_ == m.changes_.size()) {
+    m.changes_.push_back(m.inner_->next(*m.rng_));
+  }
+  return m.changes_[cursor_++];
 }
 
 }  // namespace idr::net

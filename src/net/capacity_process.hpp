@@ -10,8 +10,11 @@
 // and reallocates rates.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -72,8 +75,9 @@ class LognormalArCapacity final : public CapacityProcess {
  private:
   Rate sample() const;
   Params p_;
-  double sigma_ = 0.0;  // stationary stddev of the log process
-  double z_ = 0.0;      // current AR(1) state
+  double sigma_ = 0.0;          // stationary stddev of the log process
+  double innovation_sd_ = 0.0;  // sigma_ * sqrt(1 - rho^2)
+  double z_ = 0.0;              // current AR(1) state
 };
 
 /// Two-state Markov-modulated multiplier on a base rate: mostly "normal"
@@ -121,6 +125,47 @@ class ModulatedCapacity final : public CapacityProcess {
   Duration modulator_next_ = 0.0;
   CapacityChange carrier_pending_{};
   CapacityChange modulator_pending_{};
+};
+
+/// One capacity sample path, drawn once and read by several processes.
+///
+/// The mirrored worlds of a session attach a process to the same link
+/// from the same stream, so their sample paths are equal by construction;
+/// sharing a memo makes the second world read the first world's draws
+/// instead of repeating them. The memo holds the inner process, the stream
+/// it draws from (copied from the first reader's initial() call), the
+/// initial value and every change drawn so far.
+class CapacityPathMemo {
+ public:
+  explicit CapacityPathMemo(std::unique_ptr<CapacityProcess> inner);
+
+  /// Changes drawn so far, over all readers.
+  std::size_t size() const { return changes_.size(); }
+
+ private:
+  friend class SharedCapacityProcess;
+  std::unique_ptr<CapacityProcess> inner_;
+  std::optional<util::Rng> rng_;   // set by the first initial() call
+  std::uint64_t fingerprint_ = 0;  // of the stream initial() was given
+  Rate initial_ = 0.0;
+  std::vector<CapacityChange> changes_;
+};
+
+/// A reader of a shared sample path. It keeps its own cursor, returns the
+/// memoized changes in order and extends the memo from the shared stream
+/// when it runs past the end, so every reader sees exactly the path a
+/// private inner process on the same stream would. The stream a reader is
+/// handed must be the one the memo was started from (checked by
+/// fingerprint); the reader never draws from it.
+class SharedCapacityProcess final : public CapacityProcess {
+ public:
+  explicit SharedCapacityProcess(std::shared_ptr<CapacityPathMemo> memo);
+  Rate initial(util::Rng& rng) override;
+  CapacityChange next(util::Rng& rng) override;
+
+ private:
+  std::shared_ptr<CapacityPathMemo> memo_;
+  std::size_t cursor_ = 0;
 };
 
 }  // namespace idr::net

@@ -193,8 +193,8 @@ void TransferEngine::start_transfer(TransferHandle handle,
   const net::NodeId server_node = request.server->node();
 
   // All paths are computed in the data direction (server -> client).
-  net::Path data_path;
-  flow::FlowOptions options;
+  net::Path& data_path = active.path;
+  flow::FlowOptions& options = active.options;
   options.tcp = request.tcp;
   Duration setup_delay = 0.0;
 
@@ -270,17 +270,17 @@ void TransferEngine::start_transfer(TransferHandle handle,
   // bytes than it delivers (buffer copies, re-framing). Model this as byte
   // inflation so the overhead bites whether the transfer is link-bound or
   // window-bound. The result still reports delivered (goodput) bytes.
-  util::Bytes size = active.result.bytes;
+  active.wire_bytes = active.result.bytes;
   if (request.relay) {
-    size /= relay_params(*request.relay).efficiency;
+    active.wire_bytes /= relay_params(*request.relay).efficiency;
   }
-  const net::Path path = data_path;
   active.timer = fsim_.simulator().schedule_in(
-      setup_delay, [this, handle, path, size, options] {
+      setup_delay, [this, handle] {
         Active& a = transfers_.at(handle);
         a.phase = Phase::kFlow;
         a.flow = fsim_.start_flow(
-            path, size, options, [this, handle](const flow::FlowStats&) {
+            a.path, a.wire_bytes, a.options,
+            [this, handle](const flow::FlowStats&) {
               Active& done = transfers_.at(handle);
               // Last byte reaches the client one propagation delay after
               // the sender drains it.

@@ -188,6 +188,12 @@ class TransferEngine {
     Phase phase = Phase::kSetup;
     sim::EventId timer = 0;
     flow::FlowId flow = 0;
+    /// The byte stream the setup event starts: path (data direction),
+    /// bytes on the wire and TCP options. Kept here so the setup closure
+    /// captures only {this, handle} and fits the event's inline buffer.
+    net::Path path;
+    util::Bytes wire_bytes = 0.0;
+    flow::FlowOptions options;
     Duration tail_delay = 0.0;
     /// Set once the fault plane killed this transfer: its flow/timer is
     /// already torn down and only the error-delivery event remains.

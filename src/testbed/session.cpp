@@ -5,13 +5,19 @@
 namespace idr::testbed {
 
 SessionOutput run_session(const SessionSpec& spec) {
+  return run_session(spec, MirroredPaths::make(spec.params));
+}
+
+SessionOutput run_session(const SessionSpec& spec,
+                          const MirroredPaths& mirrored) {
   IDR_REQUIRE(spec.transfers > 0, "run_session: no transfers");
   IDR_REQUIRE(spec.interval > 0.0, "run_session: non-positive interval");
   IDR_REQUIRE(spec.policy_factory != nullptr,
               "run_session: null policy factory");
 
   // --- World A: the plain client, always direct. -------------------------
-  ClientWorld world_a(spec.params, /*attach_relay_processes=*/false);
+  ClientWorld world_a(spec.params, /*attach_relay_processes=*/false,
+                      mirrored);
   struct DirectSample {
     bool done = false;
     util::Rate rate = 0.0;
@@ -46,7 +52,9 @@ SessionOutput run_session(const SessionSpec& spec) {
   }
 
   // --- World B: the selecting client, same bandwidth sample paths. -------
-  ClientWorld world_b(spec.params, /*attach_relay_processes=*/true);
+  // Its direct and access links read the changes world A drew.
+  ClientWorld world_b(spec.params, /*attach_relay_processes=*/true,
+                      mirrored);
   if (spec.tracer != nullptr) {
     world_b.flow_simulator().set_tracer(spec.tracer, spec.trace_track);
   }

@@ -1,6 +1,7 @@
 // Shared session runner: executes one client's measurement session — N
 // transfers at a fixed cadence — in a pair of mirrored worlds (plain
-// direct reference in world A, selecting client in world B) and joins the
+// direct reference in world A, selecting client in world B) that share the
+// direct and access links' capacity sample paths, and joins the
 // per-transfer observations.
 #pragma once
 
@@ -48,6 +49,13 @@ struct SessionOutput {
   core::RelayStatsTable relay_stats;
 };
 
+/// Runs the session on fresh MirroredPaths for spec.params.
 SessionOutput run_session(const SessionSpec& spec);
+
+/// Runs the session with both worlds reading `mirrored` (memos built for
+/// spec.params): world A draws the shared links' sample paths, world B
+/// reads them.
+SessionOutput run_session(const SessionSpec& spec,
+                          const MirroredPaths& mirrored);
 
 }  // namespace idr::testbed

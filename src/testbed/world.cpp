@@ -4,9 +4,8 @@
 
 namespace idr::testbed {
 
-namespace {
-
-std::unique_ptr<net::CapacityProcess> make_process(const LinkSpec& spec) {
+std::unique_ptr<net::CapacityProcess> make_capacity_process(
+    const LinkSpec& spec) {
   IDR_REQUIRE(spec.mean > 0.0, "LinkSpec: non-positive mean capacity");
   std::unique_ptr<net::CapacityProcess> carrier;
   if (spec.cv > 0.0) {
@@ -30,10 +29,35 @@ std::unique_ptr<net::CapacityProcess> make_process(const LinkSpec& spec) {
       /*modulator_base=*/1.0);
 }
 
+namespace {
+
+bool has_access_process(const WorldParams& params) {
+  return params.access.cv > 0.0 || params.access.jumps;
+}
+
+/// A reader of `memo` when there is one, else a private process.
+std::unique_ptr<net::CapacityProcess> process_for(
+    const LinkSpec& spec, const std::shared_ptr<net::CapacityPathMemo>& memo) {
+  if (memo == nullptr) return make_capacity_process(spec);
+  return std::make_unique<net::SharedCapacityProcess>(memo);
+}
+
 }  // namespace
 
+MirroredPaths MirroredPaths::make(const WorldParams& params) {
+  MirroredPaths paths;
+  paths.direct = std::make_shared<net::CapacityPathMemo>(
+      make_capacity_process(params.direct_wan));
+  if (has_access_process(params)) {
+    paths.access = std::make_shared<net::CapacityPathMemo>(
+        make_capacity_process(params.access));
+  }
+  return paths;
+}
+
 ClientWorld::ClientWorld(const WorldParams& params,
-                         bool attach_relay_processes)
+                         bool attach_relay_processes,
+                         const MirroredPaths& mirrored)
     : params_(params) {
   IDR_REQUIRE(params_.relay_wan.size() == params_.relay_names.size() &&
                   params_.server_relay.size() == params_.relay_names.size(),
@@ -70,19 +94,20 @@ ClientWorld::ClientWorld(const WorldParams& params,
 
   fsim_ = std::make_unique<flow::FlowSimulator>(
       sim_, topo_, util::Rng(params_.process_seed));
-  fsim_->attach_capacity_process(direct_link,
-                                 make_process(params_.direct_wan));
-  if (params_.access.cv > 0.0 || params_.access.jumps) {
-    fsim_->attach_capacity_process(access_link,
-                                   make_process(params_.access));
+  fsim_->attach_capacity_process(
+      direct_link, process_for(params_.direct_wan, mirrored.direct));
+  if (has_access_process(params_)) {
+    fsim_->attach_capacity_process(
+        access_link, process_for(params_.access, mirrored.access));
   }
   if (attach_relay_processes) {
     for (std::size_t i = 0; i < relays_.size(); ++i) {
-      fsim_->attach_capacity_process(relay_links[i],
-                                     make_process(params_.relay_wan[i]));
+      fsim_->attach_capacity_process(
+          relay_links[i], make_capacity_process(params_.relay_wan[i]));
       if (params_.server_relay[i].cv > 0.0) {
         fsim_->attach_capacity_process(
-            server_relay_links[i], make_process(params_.server_relay[i]));
+            server_relay_links[i],
+            make_capacity_process(params_.server_relay[i]));
       }
     }
   }

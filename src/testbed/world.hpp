@@ -11,7 +11,9 @@
 // WorldParams: capacity processes are seeded per link, so both worlds see
 // bitwise-identical bandwidth sample paths, and the plain client measures
 // the same network the selecting client experienced, without
-// self-interference.
+// self-interference. Since the paths are equal, a mirrored pair shares them
+// (MirroredPaths): the first world draws each capacity change of a link
+// both attach a process to, the second reads the memo.
 #pragma once
 
 #include <memory>
@@ -78,6 +80,23 @@ struct WorldParams {
   Duration estimate_half_life = 300.0;
 };
 
+/// The capacity process a LinkSpec describes: lognormal AR(1) around the
+/// mean (constant when cv == 0), Markov-modulated when `jumps` is set.
+std::unique_ptr<net::CapacityProcess> make_capacity_process(
+    const LinkSpec& spec);
+
+/// The capacity sample paths a mirrored pair of worlds shares: one memo
+/// per link both mirrors attach a process to — the direct segment, and
+/// the access link when it has a process. Whichever world runs first
+/// draws each change; the other reads it.
+struct MirroredPaths {
+  std::shared_ptr<net::CapacityPathMemo> direct;
+  std::shared_ptr<net::CapacityPathMemo> access;  // null: no access process
+
+  /// Fresh memos around `params`' direct and access processes.
+  static MirroredPaths make(const WorldParams& params);
+};
+
 class ClientWorld {
  public:
   /// Resource path the server exposes (size = params.file_size).
@@ -87,8 +106,10 @@ class ClientWorld {
   /// relay-segment capacity processes are skipped (their links are never
   /// used), which keeps the event count low. Direct-segment sample paths
   /// are identical in both mirrors because process streams are seeded per
-  /// link.
-  ClientWorld(const WorldParams& params, bool attach_relay_processes);
+  /// link. A link with a memo in `mirrored` reads its sample path from the
+  /// memo instead of drawing its own (same path, drawn once per pair).
+  ClientWorld(const WorldParams& params, bool attach_relay_processes,
+              const MirroredPaths& mirrored = {});
 
   ClientWorld(const ClientWorld&) = delete;
   ClientWorld& operator=(const ClientWorld&) = delete;

@@ -18,14 +18,42 @@ std::uint64_t child_stream(std::uint64_t parent, std::uint64_t salt) {
   return splitmix64(parent ^ salt);
 }
 
+Mt19937_64::Mt19937_64(result_type seed) {
+  // std::mersenne_twister_engine::seed: x[0] = seed,
+  // x[i] = f * (x[i-1] ^ (x[i-1] >> (w - 2))) + i.
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kN; ++i) {
+    const result_type x = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (x ^ (x >> 62)) + i;
+  }
+}
+
+void Mt19937_64::twist() {
+  // The three loops of libstdc++'s _M_gen_rand: each word reads its
+  // neighbour and the word kM on, wrapping at the end of the state.
+  for (std::size_t k = 0; k < kN - kM; ++k) {
+    state_[k] = twist_word(state_[k], state_[k + 1], state_[k + kM]);
+  }
+  for (std::size_t k = kN - kM; k < kN - 1; ++k) {
+    state_[k] = twist_word(state_[k], state_[k + 1], state_[k + kM - kN]);
+  }
+  state_[kN - 1] = twist_word(state_[kN - 1], state_[0], state_[kM - 1]);
+  index_ = 0;
+}
+
+Mt19937_64::result_type Mt19937_64::peek() const {
+  if (index_ < kN) return temper(state_[index_]);
+  // At the end of a block the next word is the twist's first, which reads
+  // only words the twist has not yet overwritten.
+  return temper(twist_word(state_[0], state_[1], state_[kM]));
+}
+
 Rng Rng::child(std::uint64_t salt) const {
   // Hash the salt against a draw-independent fingerprint of this stream's
   // seed state. Using the engine state directly would make child() depend
-  // on how many draws preceded it; instead we copy the engine and take one
-  // deterministic output from the copy.
-  std::mt19937_64 copy = engine_;
-  const std::uint64_t fingerprint = copy();
-  return Rng(std::mt19937_64(splitmix64(fingerprint ^ splitmix64(salt))));
+  // on how many draws preceded it; instead we take the next output word
+  // without advancing (what a copy's first draw would return).
+  return Rng(EngineSeed{splitmix64(fingerprint() ^ splitmix64(salt))});
 }
 
 double Rng::uniform() {

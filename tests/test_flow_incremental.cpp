@@ -246,6 +246,67 @@ TEST(FlowSimulatorCounters, NonBindingSlowStartRoundsSkipRecompute) {
   EXPECT_GT(fsim.counters().skipped_events, 0u);
 }
 
+TEST(FlowSimulatorSlowStart, ParkedRampReplaysTheRoundsItSkipped) {
+  // One ramping flow beside 15 steady ones on a 16e6 B/s link: its fair
+  // share is 1e6. RTT 0.5 s, so round k falls at t = 0.5 k and the ramp
+  // cap is 2 segments * 2^k per RTT (5840 * 2^k B/s).
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const net::Path p{{topo.add_link(a, b, 16e6, 0.25)}};
+  FlowSimulator fsim(sim, topo, util::Rng(8));
+  FlowOptions steady;
+  steady.model_slow_start = false;
+  steady.ceiling_override = 1e9;
+  std::vector<FlowId> others;
+  for (int i = 0; i < 15; ++i) {
+    others.push_back(fsim.start_flow(p, 1e15, steady, nullptr));
+  }
+  FlowOptions ramp;  // slow start on
+  ramp.ceiling_override = 1e9;
+  const FlowId id = fsim.start_flow(p, 1e15, ramp, nullptr);
+  const auto cap = [&](int round) {
+    return slow_start_cap(ramp.tcp, 0.5, round);
+  };
+  const auto rounds_run = [&] {
+    return sim.executed(sim::EventKind::kSlowStart);
+  };
+
+  // Round 8 lifts the cap past the share; round 9 finds it not binding,
+  // is skipped and parks the ramp.
+  sim.run_until(4.9);
+  EXPECT_EQ(fsim.current_rate(id), 1e6);
+  EXPECT_EQ(rounds_run(), 9u);
+  EXPECT_EQ(fsim.counters().skipped_events, 1u);
+
+  // Parked: rounds 10 (t = 5.0) and 11 (t = 5.5) schedule no event.
+  sim.run_until(5.7);
+  EXPECT_EQ(rounds_run(), 9u);
+  EXPECT_EQ(fsim.counters().skipped_events, 1u);
+
+  // The first departure replays both rounds, each counted as the skipped
+  // event it would have been. Alone on the link, the flow is held to its
+  // round-11 cap, which binds, so round 12 (t = 6.0) is armed again.
+  for (const FlowId other : others) fsim.cancel_flow(other);
+  EXPECT_EQ(fsim.counters().skipped_events, 3u);
+  EXPECT_EQ(fsim.current_rate(id), cap(11));
+  EXPECT_LT(cap(11), 16e6);
+
+  sim.run_until(6.2);
+  EXPECT_EQ(rounds_run(), 10u);
+  EXPECT_EQ(fsim.current_rate(id), 16e6);
+
+  // Round 13 (t = 6.5) finds the link-limited flow below its cap: skipped,
+  // parked again; the cancel replays round 14 (t = 7.0) for the counter.
+  sim.run_until(7.2);
+  EXPECT_EQ(rounds_run(), 11u);
+  EXPECT_EQ(fsim.counters().skipped_events, 4u);
+  EXPECT_TRUE(fsim.cancel_flow(id));
+  EXPECT_EQ(fsim.counters().skipped_events, 5u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(FlowSimulator, InitialCapacityDrawIsClampedLikeLaterOnes) {
   sim::Simulator sim;
   net::Topology topo;

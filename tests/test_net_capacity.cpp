@@ -1,5 +1,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "net/capacity_process.hpp"
 #include "util/error.hpp"
@@ -195,6 +196,95 @@ TEST(Modulated, EventTimesInterleave) {
   // events land on the 10-second grid.
   EXPECT_GT(carrier_changes, 250);
   EXPECT_LT(carrier_changes, 450);
+}
+
+// --- Shared sample paths ---------------------------------------------------
+
+// The process a jumpy world link runs: AR(1) carrier, Markov modulator.
+std::unique_ptr<CapacityProcess> jumpy_process() {
+  LognormalArCapacity::Params c;
+  c.mean = 1e6;
+  c.cv = 0.4;
+  c.step = 30.0;
+  MarkovJumpCapacity::Params j;
+  j.base = 1.0;
+  j.degraded_multiplier = 0.25;
+  j.mean_normal_dwell = 300.0;
+  j.mean_degraded_dwell = 60.0;
+  return std::make_unique<ModulatedCapacity>(
+      std::make_unique<LognormalArCapacity>(c),
+      std::make_unique<MarkovJumpCapacity>(j), 1.0);
+}
+
+void expect_same(const CapacityChange& got, const CapacityChange& want,
+                 std::size_t i) {
+  EXPECT_EQ(got.dwell, want.dwell) << "change " << i;
+  EXPECT_EQ(got.capacity, want.capacity) << "change " << i;
+}
+
+TEST(SharedCapacityPath, ReadersSeeThePrivatePath) {
+  // A link's stream, derived the way the flow simulator derives it.
+  const util::Rng stream = util::Rng(17).child(0x9000 + 3);
+  util::Rng private_rng = stream;
+  auto reference = jumpy_process();
+  const Rate initial = reference->initial(private_rng);
+  std::vector<CapacityChange> path;
+  for (int i = 0; i < 160; ++i) path.push_back(reference->next(private_rng));
+
+  auto memo = std::make_shared<CapacityPathMemo>(jumpy_process());
+  SharedCapacityProcess first(memo);
+  SharedCapacityProcess second(memo);
+  util::Rng first_rng = stream;
+  util::Rng second_rng = stream;
+
+  // The first reader draws 40 changes.
+  EXPECT_EQ(first.initial(first_rng), initial);
+  for (std::size_t i = 0; i < 40; ++i) {
+    expect_same(first.next(first_rng), path[i], i);
+  }
+  EXPECT_EQ(memo->size(), 40u);
+
+  // The second reads those, then runs past the first reader's end and
+  // extends the memo from the shared stream.
+  EXPECT_EQ(second.initial(second_rng), initial);
+  for (std::size_t i = 0; i < 100; ++i) {
+    expect_same(second.next(second_rng), path[i], i);
+  }
+  EXPECT_EQ(memo->size(), 100u);
+
+  // The first reader resumes over what the second drew, then both extend
+  // in turn.
+  for (std::size_t i = 40; i < 130; ++i) {
+    expect_same(first.next(first_rng), path[i], i);
+  }
+  for (std::size_t i = 100; i < 160; ++i) {
+    expect_same(second.next(second_rng), path[i], i);
+    if (i + 30 < 160) {
+      expect_same(first.next(first_rng), path[i + 30], i + 30);
+    }
+  }
+  EXPECT_EQ(memo->size(), 160u);
+
+  // Readers never draw from the streams they are handed.
+  EXPECT_EQ(first_rng.fingerprint(), stream.fingerprint());
+  EXPECT_EQ(second_rng.fingerprint(), stream.fingerprint());
+}
+
+TEST(SharedCapacityPath, RejectsAReaderOnAnotherStream) {
+  auto memo = std::make_shared<CapacityPathMemo>(jumpy_process());
+  SharedCapacityProcess first(memo);
+  SharedCapacityProcess second(memo);
+  util::Rng stream = util::Rng(17).child(0x9000 + 3);
+  util::Rng other = util::Rng(17).child(0x9000 + 4);
+  first.initial(stream);
+  EXPECT_THROW(second.initial(other), util::Error);
+}
+
+TEST(SharedCapacityPath, NextBeforeInitialThrows) {
+  SharedCapacityProcess reader(
+      std::make_shared<CapacityPathMemo>(jumpy_process()));
+  util::Rng rng(1);
+  EXPECT_THROW(reader.next(rng), util::Error);
 }
 
 }  // namespace

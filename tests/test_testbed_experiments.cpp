@@ -22,6 +22,81 @@ Section2Config small_section2() {
   return config;
 }
 
+// Forwards to a real process and counts its next() calls.
+class CountingProcess final : public net::CapacityProcess {
+ public:
+  CountingProcess(std::unique_ptr<net::CapacityProcess> inner,
+                  std::size_t* calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+  util::Rate initial(util::Rng& rng) override { return inner_->initial(rng); }
+  net::CapacityChange next(util::Rng& rng) override {
+    ++*calls_;
+    return inner_->next(rng);
+  }
+
+ private:
+  std::unique_ptr<net::CapacityProcess> inner_;
+  std::size_t* calls_;
+};
+
+TEST(Session, WorldBReadsTheSamplePathsWorldADrew) {
+  const ScenarioGenerator gen(5, {});
+  SessionSpec spec;
+  spec.params = gen.make_world(find_site("Italy"), {&find_site("NYU")},
+                               find_site("eBay"));
+  spec.params.access.cv = 0.2;  // give the access link a process too
+  spec.transfers = 8;
+  spec.interval = util::minutes(2);
+  spec.client_seed = 77;
+
+  std::size_t direct_calls = 0;
+  std::size_t access_calls = 0;
+  MirroredPaths mirrored;
+  mirrored.direct = std::make_shared<net::CapacityPathMemo>(
+      std::make_unique<CountingProcess>(
+          make_capacity_process(spec.params.direct_wan), &direct_calls));
+  mirrored.access = std::make_shared<net::CapacityPathMemo>(
+      std::make_unique<CountingProcess>(
+          make_capacity_process(spec.params.access), &access_calls));
+
+  // The policy factory runs once world B is built, after world A ran.
+  std::size_t direct_after_a = 0;
+  std::size_t access_after_a = 0;
+  long readers = 0;
+  spec.policy_factory = [&](ClientWorld& world) {
+    direct_after_a = direct_calls;
+    access_after_a = access_calls;
+    readers = mirrored.direct.use_count() - 1;  // minus this test's copy
+    return std::make_unique<core::StaticRelayPolicy>(world.relay_node(0));
+  };
+  const SessionOutput shared = run_session(spec, mirrored);
+
+  EXPECT_EQ(readers, 2);  // world A and world B each attach a reader
+  EXPECT_GT(direct_after_a, 0u);
+  EXPECT_GT(access_after_a, 0u);
+  // World B makes zero next() calls on the mirrored links, and every
+  // change is drawn exactly once.
+  EXPECT_EQ(direct_calls, direct_after_a);
+  EXPECT_EQ(access_calls, access_after_a);
+  EXPECT_EQ(direct_calls, mirrored.direct->size());
+  EXPECT_EQ(access_calls, mirrored.access->size());
+
+  // Sharing changes no observation: a run on fresh memos agrees exactly.
+  spec.policy_factory = [](ClientWorld& world) {
+    return std::make_unique<core::StaticRelayPolicy>(world.relay_node(0));
+  };
+  const SessionOutput fresh = run_session(spec);
+  ASSERT_EQ(shared.result.transfers.size(), fresh.result.transfers.size());
+  for (std::size_t k = 0; k < fresh.result.transfers.size(); ++k) {
+    const TransferObservation& a = shared.result.transfers[k];
+    const TransferObservation& b = fresh.result.transfers[k];
+    EXPECT_TRUE(a.ok) << k;
+    EXPECT_EQ(a.direct_rate, b.direct_rate) << k;
+    EXPECT_EQ(a.selected_rate, b.selected_rate) << k;
+    EXPECT_EQ(a.chose_indirect, b.chose_indirect) << k;
+  }
+}
+
 TEST(Session, ProducesJoinedObservations) {
   const ScenarioGenerator gen(5, {});
   SessionSpec spec;

@@ -191,6 +191,45 @@ TEST(World, MirroredWorldsSeeIdenticalDirectTransfers) {
   }
 }
 
+TEST(World, SharedSamplePathsMatchPrivateOnes) {
+  // A mirrored pair reading one memo per shared link sees the transfers
+  // a pair drawing its own processes sees, bit for bit.
+  const ScenarioGenerator gen(11, {});
+  WorldParams params = gen.make_world(find_site("France"),
+                                      {&find_site("NYU")}, find_site("eBay"));
+  params.access.cv = 0.3;  // the access link gets a process as well
+
+  auto run_direct = [&](bool attach_relays, const MirroredPaths& mirrored) {
+    ClientWorld world(params, attach_relays, mirrored);
+    std::vector<double> rates;
+    for (int k = 0; k < 5; ++k) {
+      world.simulator().schedule_at(1.0 + 300.0 * k, [&world, &rates] {
+        world.begin_direct_download(
+            [&rates](const overlay::TransferResult& r) {
+              rates.push_back(r.throughput());
+            });
+      });
+    }
+    while (rates.size() < 5) {
+      IDR_REQUIRE(world.simulator().step(), "drained");
+    }
+    return rates;
+  };
+
+  const MirroredPaths mirrored = MirroredPaths::make(params);
+  ASSERT_NE(mirrored.access, nullptr);
+  const auto shared_a = run_direct(false, mirrored);
+  const auto shared_b = run_direct(true, mirrored);
+  const auto own_a = run_direct(false, {});
+  const auto own_b = run_direct(true, {});
+  ASSERT_EQ(shared_b.size(), own_b.size());
+  for (std::size_t i = 0; i < own_b.size(); ++i) {
+    EXPECT_EQ(shared_a[i], own_a[i]) << i;
+    EXPECT_EQ(shared_b[i], own_b[i]) << i;
+    EXPECT_EQ(shared_b[i], shared_a[i]) << i;
+  }
+}
+
 TEST(World, DirectThroughputLandsNearProfile) {
   // Average direct throughput should be in the neighbourhood of the
   // profile's inbound mean (TCP ceilings can shave it).

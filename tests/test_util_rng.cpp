@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "util/error.hpp"
@@ -234,6 +236,98 @@ TEST(ChildStream, SaltsDecorrelate) {
   // streams agree always/never.
   EXPECT_GT(agree, kDraws / 4);
   EXPECT_LT(agree, 3 * kDraws / 4);
+}
+
+// --- The in-repo engine is std::mt19937_64's stream -----------------------
+//
+// Every golden and digest was produced with std::mt19937_64 and the std
+// distributions; Rng keeps them by matching the engine word for word. The
+// reference side of these tests is the std engine itself, seeded the way
+// Rng seeds (splitmix64 of the seed; child streams from the next word).
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+
+constexpr std::uint64_t kEngineSeeds[] = {
+    0, 1, 5489, 0x9e3779b97f4a7c15ULL, 0x8000000000000000ULL,
+    ~std::uint64_t{0}};
+
+TEST(Mt19937_64, MatchesStdEngineOverSeveralTwistBlocks) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    std::mt19937_64 ref(seed);
+    Mt19937_64 engine(seed);
+    for (int i = 0; i < 4 * 312 + 5; ++i) {
+      ASSERT_EQ(engine(), ref()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, PeekIsTheNextWordAtEveryPosition) {
+  // Covers the block boundary, where the next word comes from the twist.
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{2026}}) {
+    Mt19937_64 engine(seed);
+    for (int i = 0; i < 3 * 312 + 2; ++i) {
+      const std::uint64_t peeked = engine.peek();
+      ASSERT_EQ(engine.peek(), peeked);
+      ASSERT_EQ(engine(), peeked) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(Rng, ChildAndFingerprintMatchStdEngineReference) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 ref(splitmix64(seed));
+    // Derive at stream positions on both sides of block boundaries.
+    int drawn = 0;
+    for (const int position : {0, 1, 311, 312, 313, 624, 937}) {
+      for (; drawn < position; ++drawn) ASSERT_EQ(rng.engine()(), ref());
+      std::mt19937_64 copy = ref;
+      const std::uint64_t fingerprint = copy();
+      ASSERT_EQ(rng.fingerprint(), fingerprint) << seed << " @" << position;
+      for (const std::uint64_t salt :
+           {std::uint64_t{0}, std::uint64_t{0x9000 + 3}, ~std::uint64_t{0}}) {
+        Rng child = rng.child(salt);
+        std::mt19937_64 ref_child(
+            splitmix64(fingerprint ^ splitmix64(salt)));
+        for (int i = 0; i < 320; ++i) {
+          ASSERT_EQ(child.engine()(), ref_child())
+              << seed << " @" << position << " salt " << salt << " " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Rng, DistributionsMatchStdEngineReference) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 ref(splitmix64(seed));
+    // Interleaved, so rejection loops and block boundaries fall at varied
+    // offsets; every comparison is exact.
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(rng.normal(),
+                std::normal_distribution<double>(0.0, 1.0)(ref));
+      ASSERT_EQ(rng.normal(3.0, 0.25),
+                std::normal_distribution<double>(3.0, 0.25)(ref));
+      ASSERT_EQ(rng.exponential(4.0),
+                std::exponential_distribution<double>(0.25)(ref));
+      ASSERT_EQ(rng.uniform_int(-5, 17),
+                std::uniform_int_distribution<std::int64_t>(-5, 17)(ref));
+      ASSERT_EQ(rng.uniform_int(0, std::numeric_limits<std::int64_t>::max()),
+                std::uniform_int_distribution<std::int64_t>(
+                    0, std::numeric_limits<std::int64_t>::max())(ref));
+      ASSERT_EQ(rng.uniform(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+      ASSERT_EQ(rng.uniform(2.0, 9.5),
+                std::uniform_real_distribution<double>(2.0, 9.5)(ref));
+      const double sigma2 = std::log1p(0.4 * 0.4);
+      const double mu = std::log(2.0e6) - 0.5 * sigma2;
+      ASSERT_EQ(rng.lognormal_mean_cv(2.0e6, 0.4),
+                std::lognormal_distribution<double>(mu, std::sqrt(sigma2))(
+                    ref))
+          << "seed " << seed << " draw " << i;
+    }
+  }
 }
 
 TEST(Splitmix, AvalanchesNearbySeeds) {
