@@ -12,8 +12,8 @@
 //     core promise);
 //  2. work metrics — flow reallocations stay component-scoped
 //     (flows_touched per reallocation bounded) and event-core work per
-//     transfer stays bounded at fleet scale (<= 45 events per transfer,
-//     ~36.6 measured: idle links' capacity processes must stay parked),
+//     transfer stays bounded at fleet scale (<= 40 events per transfer,
+//     ~34.2 measured: idle links' capacity processes must stay parked),
 //     i.e. no layer silently reverts to population-sized recomputes or
 //     per-link timers — both are pure counters, load-insensitive,
 //     asserted always. Executed events are also reported per EventKind;
