@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
           .cell(n)
           .cell(u, 1)
           .cell(w, 1)
-          .cell((w >= u ? "+" : "") + util::format_fixed(w - u, 1));
+          .cell(std::string(w >= u ? "+" : "")
+                    .append(util::format_fixed(w - u, 1)));
     }
   }
   std::printf("%s", table.render().c_str());

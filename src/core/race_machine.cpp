@@ -18,7 +18,11 @@ RaceMetrics resolve(obs::Registry& r, const RaceStack& stack) {
           c(race + "probe_failures"),      c(race + "retries"),
           c(race + "overload_rejections"), c(race + "fallbacks_direct"),
           c(select + "races_run"),         c(select + "probe_bytes"),
-          r.histogram(race + "probe_seconds", stack.probe_seconds)};
+          r.histogram(race + "probe_seconds", stack.probe_seconds),
+          // Registered by resolve_pin on the first pinned race.
+          /*races_skipped=*/{},
+          /*pinned_fallbacks=*/{},
+          /*estimate_age=*/{}};
 }
 
 void resolve_pin(obs::Registry& r, const RaceStack& stack, RaceMetrics& m) {

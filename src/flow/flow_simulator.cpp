@@ -160,10 +160,26 @@ FlowId FlowSimulator::start_flow(const net::Path& path, Bytes size,
   IDR_REQUIRE(size > 0.0, "start_flow: non-positive size");
   IDR_REQUIRE(options.cap_scale > 0.0 && options.cap_scale <= 1.0,
               "start_flow: cap_scale outside (0,1]");
+  const Duration rtt = options.rtt > 0.0 ? options.rtt : topo_.path_rtt(path);
+  IDR_REQUIRE(rtt > 0.0, "start_flow: zero RTT (add propagation delay)");
+  const Rate ceiling =
+      options.ceiling_override > 0.0
+          ? options.ceiling_override
+          : steady_state_ceiling(
+                options.tcp, rtt,
+                options.loss >= 0.0 ? options.loss : topo_.path_loss(path));
 
-  FlowState f;
+  Slot slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<Slot>(flows_.size());
+    flows_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  FlowState& f = flows_[slot];
   f.id = ++next_id_;
-  f.path = path;
+  f.path.links.assign(path.links.begin(), path.links.end());
   f.size = size;
   f.remaining = size;
   f.start = sim_.now();
@@ -171,15 +187,8 @@ FlowId FlowSimulator::start_flow(const net::Path& path, Bytes size,
   f.tcp = options.tcp;
   f.cap_scale = options.cap_scale;
   f.extra_cap = options.extra_cap;
-  f.rtt = options.rtt > 0.0 ? options.rtt : topo_.path_rtt(path);
-  IDR_REQUIRE(f.rtt > 0.0, "start_flow: zero RTT (add propagation delay)");
-  if (options.ceiling_override > 0.0) {
-    f.ceiling = options.ceiling_override;
-  } else {
-    const double loss =
-        options.loss >= 0.0 ? options.loss : topo_.path_loss(path);
-    f.ceiling = steady_state_ceiling(f.tcp, f.rtt, loss);
-  }
+  f.rtt = rtt;
+  f.ceiling = ceiling;
   f.on_done = std::move(on_done);
 
   if (options.model_slow_start) {
@@ -187,27 +196,51 @@ FlowId FlowSimulator::start_flow(const net::Path& path, Bytes size,
     f.ss_round = 0;
     f.ss_cap = slow_start_cap(f.tcp, f.rtt, 0);
     f.ss_next = f.start + f.rtt;
-    const FlowId id = f.id;
-    f.ss_event = sim_.schedule_at(
-        f.ss_next, [this, id] { on_slow_start_round(id); },
-        sim::EventKind::kSlowStart);
+    arm_slow_start(slot, f);
   }
 
   const FlowId id = f.id;
-  const auto [it, inserted] = flows_.emplace(id, std::move(f));
-  IDR_REQUIRE(inserted, "start_flow: duplicate flow id");
-  wake_capacity(it->second.path.links);
+  slot_of_.emplace(id, slot);
+  wake_capacity(f.path.links);
   index_.ensure_links(topo_.link_count());
-  index_.add(id, it->second.path.links);
-  g_flows_active_.set(static_cast<double>(flows_.size()));
-  reallocate_for_flow(id);
+  index_.add(slot, f.path.links);
+  g_flows_active_.set(static_cast<double>(slot_of_.size()));
+  reallocate_for_flow(slot);
   return id;
 }
 
-void FlowSimulator::on_slow_start_round(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  FlowState& f = it->second;
+FlowSimulator::Slot FlowSimulator::slot_of(FlowId id,
+                                           const char* caller) const {
+  const auto it = slot_of_.find(id);
+  IDR_REQUIRE(it != slot_of_.end(), std::string(caller) + ": unknown flow");
+  return it->second;
+}
+
+FlowSimulator::FlowState& FlowSimulator::state(Slot slot, FlowId id) {
+  IDR_REQUIRE(slot < flows_.size() && flows_[slot].id == id,
+              "FlowSimulator: event for a flow no longer in its slot");
+  return flows_[slot];
+}
+
+void FlowSimulator::release(Slot slot) {
+  FlowState& f = flows_[slot];
+  slot_of_.erase(f.id);
+  std::vector<net::LinkId> links = std::move(f.path.links);
+  f = FlowState{};
+  f.path.links = std::move(links);
+  free_slots_.push_back(slot);
+  g_flows_active_.set(static_cast<double>(slot_of_.size()));
+}
+
+void FlowSimulator::arm_slow_start(Slot slot, FlowState& f) {
+  const FlowId id = f.id;
+  f.ss_event = sim_.schedule_at(
+      f.ss_next, [this, slot, id] { on_slow_start_round(slot, id); },
+      sim::EventKind::kSlowStart);
+}
+
+void FlowSimulator::on_slow_start_round(Slot slot, FlowId id) {
+  FlowState& f = state(slot, id);
   const Rate cap_before = effective_cap(f);
   step_slow_start(f);
   // The ramp only ever raises the effective cap. If the previous cap was
@@ -227,7 +260,7 @@ void FlowSimulator::on_slow_start_round(FlowId id) {
   } else {
     f.ss_event = 0;  // ramp complete; ceiling governs from here
   }
-  reallocate_for_flow(id);
+  reallocate_for_flow(slot);
 }
 
 void FlowSimulator::step_slow_start(FlowState& f) {
@@ -249,48 +282,42 @@ void FlowSimulator::replay_slow_start(FlowState& f) {
 }
 
 bool FlowSimulator::cancel_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  FlowState& f = it->second;
+  const auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return false;
+  const Slot slot = it->second;
+  FlowState& f = flows_[slot];
   replay_slow_start(f);
   if (f.ss_event != 0) sim_.cancel(f.ss_event);
   if (f.completion_armed) sim_.cancel(f.completion_event);
-  index_.remove(id, f.path.links);
+  index_.remove(slot, f.path.links);
   park_capacity(f.path.links);
   // Only the departing flow's component can change; seed the recompute
-  // with its links (kept alive across the erase).
-  const net::Path path = std::move(f.path);
-  flows_.erase(it);
-  g_flows_active_.set(static_cast<double>(flows_.size()));
-  reallocate_for_links(path.links);
+  // with its links, which stay in the slot until it is released.
+  reallocate_for_links(f.path.links);
+  release(slot);
   return true;
 }
 
 Rate FlowSimulator::current_rate(FlowId id) const {
-  const auto it = flows_.find(id);
-  IDR_REQUIRE(it != flows_.end(), "current_rate: unknown flow");
-  return it->second.rate;
+  return flows_[slot_of(id, "current_rate")].rate;
 }
 
 Bytes FlowSimulator::bytes_remaining(FlowId id) const {
-  const auto it = flows_.find(id);
-  IDR_REQUIRE(it != flows_.end(), "bytes_remaining: unknown flow");
-  const FlowState& f = it->second;
+  const FlowState& f = flows_[slot_of(id, "bytes_remaining")];
   const Duration dt = sim_.now() - f.last_update;
   return std::max(0.0, f.remaining - f.rate * dt);
 }
 
 void FlowSimulator::set_extra_cap(FlowId id, Rate cap) {
-  const auto it = flows_.find(id);
-  IDR_REQUIRE(it != flows_.end(), "set_extra_cap: unknown flow");
+  const Slot slot = slot_of(id, "set_extra_cap");
   IDR_REQUIRE(cap >= 0.0, "set_extra_cap: negative cap");
-  FlowState& f = it->second;
+  FlowState& f = flows_[slot];
   if (cap == f.extra_cap) {
     c_skipped_events_.inc();
     return;
   }
   f.extra_cap = cap;
-  reallocate_for_flow(id);
+  reallocate_for_flow(slot);
 }
 
 Rate FlowSimulator::effective_cap(const FlowState& f) {
@@ -308,7 +335,7 @@ void FlowSimulator::advance_flow(FlowState& f) {
   f.last_update = now;
 }
 
-void FlowSimulator::arm_completion(FlowState& f) {
+void FlowSimulator::arm_completion(Slot slot, FlowState& f) {
   if (f.rate <= 0.0) {  // parked until capacity appears
     if (f.completion_armed) {
       sim_.cancel(f.completion_event);
@@ -325,20 +352,21 @@ void FlowSimulator::arm_completion(FlowState& f) {
   } else {
     const FlowId id = f.id;
     f.completion_event = sim_.schedule_in(
-        eta, [this, id] { on_completion(id); }, sim::EventKind::kCompletion);
+        eta, [this, slot, id] { on_completion(slot, id); },
+        sim::EventKind::kCompletion);
     f.completion_armed = true;
   }
   c_timer_rearms_.inc();
 }
 
-void FlowSimulator::reallocate_for_flow(FlowId id) {
-  const FlowId seed[1] = {id};
+void FlowSimulator::reallocate_for_flow(Slot slot) {
+  const Slot seed[1] = {slot};
   index_.collect_component(
       seed, {},
-      [this](FlowId u) -> const std::vector<net::LinkId>& {
-        return flows_.at(u).path.links;
+      [this](Slot u) -> const std::vector<net::LinkId>& {
+        return flows_[u].path.links;
       },
-      comp_flows_, comp_links_);
+      comp_slots_, comp_links_);
   reallocate_component();
 }
 
@@ -346,22 +374,29 @@ void FlowSimulator::reallocate_for_links(std::span<const net::LinkId> links) {
   index_.ensure_links(topo_.link_count());
   index_.collect_component(
       {}, links,
-      [this](FlowId u) -> const std::vector<net::LinkId>& {
-        return flows_.at(u).path.links;
+      [this](Slot u) -> const std::vector<net::LinkId>& {
+        return flows_[u].path.links;
       },
-      comp_flows_, comp_links_);
+      comp_slots_, comp_links_);
   reallocate_component();
 }
 
 void FlowSimulator::reallocate_component() {
   c_reallocations_.inc();
-  if (comp_flows_.empty()) return;
-  c_flows_touched_.inc(comp_flows_.size());
+  if (comp_slots_.empty()) return;
+  c_flows_touched_.inc(comp_slots_.size());
 
-  // Canonical flow order: ascending id. The order fixes the sequence of
-  // floating-point updates inside the solver, so it must not depend on
-  // hash-map iteration or component discovery order.
-  std::sort(comp_flows_.begin(), comp_flows_.end());
+  // Canonical flow order: ascending id. It fixes the solver's flow
+  // indexing and the order in which the loop below re-arms timers (each
+  // re-arm takes a sequence number, and sequence numbers break ties
+  // between simultaneous events), so neither may depend on slot
+  // assignment or component discovery order.
+  comp_order_.clear();
+  for (const Slot slot : comp_slots_) {
+    comp_order_.push_back({flows_[slot].id, slot});
+  }
+  std::sort(comp_order_.begin(), comp_order_.end(),
+            [](const Member& a, const Member& b) { return a.id < b.id; });
 
   if (local_link_.size() < topo_.link_count()) {
     local_link_.resize(topo_.link_count());
@@ -371,11 +406,9 @@ void FlowSimulator::reallocate_component() {
     local_link_[comp_links_[i]] = i;
     ws_.avail.push_back(topo_.link(comp_links_[i]).capacity);
   }
-  comp_states_.clear();
-  for (const FlowId id : comp_flows_) {
-    FlowState& f = flows_.at(id);
+  for (const Member& m : comp_order_) {
+    FlowState& f = flows_[m.slot];
     replay_slow_start(f);
-    comp_states_.push_back(&f);
     ws_.add_flow(effective_cap(f));
     for (const net::LinkId l : f.path.links) ws_.add_link(local_link_[l]);
   }
@@ -383,8 +416,9 @@ void FlowSimulator::reallocate_component() {
   max_min_allocate(ws_);
   c_maxmin_rounds_.inc(ws_.rounds);
 
-  for (std::size_t i = 0; i < comp_states_.size(); ++i) {
-    FlowState& f = *comp_states_[i];
+  for (std::size_t i = 0; i < comp_order_.size(); ++i) {
+    const Slot slot = comp_order_[i].slot;
+    FlowState& f = flows_[slot];
     const Rate rate = ws_.rate[i];
     // Rates between events are exact in the fluid model, so an exact
     // comparison is the right test: an unchanged rate means the flow's
@@ -392,22 +426,17 @@ void FlowSimulator::reallocate_component() {
     if (rate != f.rate) {
       advance_flow(f);
       f.rate = rate;
-      arm_completion(f);
+      arm_completion(slot, f);
     }
     // A parked ramp whose cap now binds steps again from its next round.
     if (f.in_slow_start && f.ss_event == 0 && !(f.rate < effective_cap(f))) {
-      const FlowId id = f.id;
-      f.ss_event = sim_.schedule_at(
-          f.ss_next, [this, id] { on_slow_start_round(id); },
-          sim::EventKind::kSlowStart);
+      arm_slow_start(slot, f);
     }
   }
 }
 
-void FlowSimulator::on_completion(FlowId id) {
-  const auto it = flows_.find(id);
-  IDR_REQUIRE(it != flows_.end(), "on_completion: unknown flow");
-  FlowState& f = it->second;
+void FlowSimulator::on_completion(Slot slot, FlowId id) {
+  FlowState& f = state(slot, id);
   advance_flow(f);
   // The event was armed for exactly remaining/rate at the then-current
   // rate; if any event changed the rate in between, the recompute re-armed
@@ -422,12 +451,11 @@ void FlowSimulator::on_completion(FlowId id) {
   replay_slow_start(f);
   if (f.ss_event != 0) sim_.cancel(f.ss_event);
   CompletionCallback cb = std::move(f.on_done);
-  index_.remove(id, f.path.links);
+  index_.remove(slot, f.path.links);
   park_capacity(f.path.links);
-  const net::Path path = std::move(f.path);
-  flows_.erase(it);
-  g_flows_active_.set(static_cast<double>(flows_.size()));
-  reallocate_for_links(path.links);
+  reallocate_for_links(f.path.links);
+  // Released before the callback, which may start a flow in this slot.
+  release(slot);
   if (cb) cb(stats);
 }
 

@@ -18,6 +18,17 @@
 // recompute entirely. The computed rates are identical to a from-scratch
 // global allocation — max-min decomposes exactly across components.
 //
+// Flows live in a slot table: a vector of FlowState with a free list. The
+// incidence index is keyed by slot, and every event closure captures the
+// flow's (slot, id) pair and checks that the slot still holds that id, so
+// no step of a reallocation looks a flow up in a hash table. A freed slot
+// is reused by the next start_flow (possibly from inside a completion
+// callback) and keeps its path's link storage. FlowId stays a monotone
+// counter, independent of slots: the public handles, FlowStats::id and the
+// ascending-id order that fixes the solver's floating-point sequence do
+// not depend on which slot a flow happens to occupy. A FlowId -> slot map
+// serves only the public calls that take a FlowId.
+//
 // Slow-start ramps park the same way. A round whose previous cap was not
 // binding keeps its next due time but schedules no event: until the next
 // recompute touching the flow, its rate and cap stay fixed, so every later
@@ -154,8 +165,8 @@ class FlowSimulator {
   /// the flow already finished or is unknown.
   bool cancel_flow(FlowId id);
 
-  bool flow_active(FlowId id) const { return flows_.contains(id); }
-  std::size_t active_flows() const { return flows_.size(); }
+  bool flow_active(FlowId id) const { return slot_of_.contains(id); }
+  std::size_t active_flows() const { return slot_of_.size(); }
 
   /// Current allocated rate of an active flow.
   Rate current_rate(FlowId id) const;
@@ -208,8 +219,11 @@ class FlowSimulator {
   util::Rng derive_rng(std::uint64_t salt) const { return rng_.child(salt); }
 
  private:
+  /// Index of a flow's FlowState in flows_ (and its user in index_).
+  using Slot = net::LinkUserIndex::UserId;
+
   struct FlowState {
-    FlowId id = 0;
+    FlowId id = 0;  // 0: the slot is free
     net::Path path;
     Bytes size = 0.0;
     Bytes remaining = 0.0;
@@ -253,20 +267,30 @@ class FlowSimulator {
   /// Effective cap of a flow right now (TCP ramp/ceiling, scale, external).
   static Rate effective_cap(const FlowState& f);
 
+  /// The slot of an active flow; throws naming `caller` if there is none.
+  Slot slot_of(FlowId id, const char* caller) const;
+  /// The state in `slot`, which an event armed for flow `id` must still
+  /// hold.
+  FlowState& state(Slot slot, FlowId id);
+  /// Frees a departed flow's slot: every field back to its default except
+  /// the path's link storage, which the next flow in the slot reuses.
+  void release(Slot slot);
+
   /// Brings one flow's remaining-byte accounting current.
   void advance_flow(FlowState& f);
 
   /// Recomputes rates for the component(s) containing the seed flow/links
   /// and re-arms completion timers of flows whose rate changed.
-  void reallocate_for_flow(FlowId id);
+  void reallocate_for_flow(Slot slot);
   void reallocate_for_links(std::span<const net::LinkId> links);
   /// Shared tail: solves for the flows/links already collected into
-  /// comp_flows_/comp_links_ and applies the result.
+  /// comp_slots_/comp_links_ and applies the result.
   void reallocate_component();
 
-  void arm_completion(FlowState& f);
-  void on_completion(FlowId id);
-  void on_slow_start_round(FlowId id);
+  void arm_completion(Slot slot, FlowState& f);
+  void arm_slow_start(Slot slot, FlowState& f);
+  void on_completion(Slot slot, FlowId id);
+  void on_slow_start_round(Slot slot, FlowId id);
   /// Steps the ramp past the round due at ss_next: doubles the cap, ends
   /// slow start at the ceiling, else moves ss_next on by one RTT.
   static void step_slow_start(FlowState& f);
@@ -291,7 +315,9 @@ class FlowSimulator {
   sim::Simulator& sim_;
   net::Topology& topo_;
   util::Rng rng_;
-  std::unordered_map<FlowId, FlowState> flows_;
+  std::vector<FlowState> flows_;  // by Slot
+  std::vector<Slot> free_slots_;
+  std::unordered_map<FlowId, Slot> slot_of_;  // active flows
   std::vector<CapacitySlot> capacity_slots_;  // by LinkId
   FlowId next_id_ = 0;
 
@@ -299,8 +325,12 @@ class FlowSimulator {
   // allocation-free once warm.
   net::LinkUserIndex index_;
   MaxMinWorkspace ws_;
-  std::vector<FlowId> comp_flows_;
-  std::vector<FlowState*> comp_states_;
+  std::vector<Slot> comp_slots_;
+  struct Member {
+    FlowId id;
+    Slot slot;
+  };
+  std::vector<Member> comp_order_;  // comp_slots_ in ascending id order
   std::vector<net::LinkId> comp_links_;
   std::vector<std::size_t> local_link_;  // LinkId -> component-local index
 

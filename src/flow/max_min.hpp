@@ -14,10 +14,15 @@
 //    the problem in flat arrays (per-flow link lists are spans into one
 //    shared index vector) plus all solver scratch, so a caller that reuses
 //    one workspace performs zero heap allocations per solve once warm.
+//
+// check_max_min() tests an allocation against the definition (feasibility
+// and the bottleneck condition) without solving, so a fast path can be
+// checked against what max-min means, not only against a second solver.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/units.hpp"
@@ -99,5 +104,17 @@ void max_min_allocate(MaxMinWorkspace& ws);
 ///    rate.
 std::vector<Rate> max_min_allocate(const std::vector<Rate>& capacities,
                                    const std::vector<FlowDemand>& flows);
+
+/// Checks `rates` (one per flow) against the definition of the max-min
+/// fair allocation, with a relative tolerance of 1e-9 throughout:
+///  * feasibility: every rate is >= 0 and <= its cap, and every link's
+///    load (sum of the rates crossing it) is <= its capacity;
+///  * bottleneck: every flow meets its cap, or crosses a saturated link
+///    on which no other flow has a higher rate. A flow with no links and
+///    an unbounded cap must have rate 0 (max_min_allocate's convention).
+/// Returns an empty string when both hold, else the first violation.
+std::string check_max_min(const std::vector<Rate>& capacities,
+                          const std::vector<FlowDemand>& flows,
+                          const std::vector<Rate>& rates);
 
 }  // namespace idr::flow

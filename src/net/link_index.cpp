@@ -12,8 +12,10 @@ void LinkUserIndex::ensure_links(std::size_t count) {
 }
 
 void LinkUserIndex::add(UserId user, std::span<const LinkId> links) {
-  const auto [it, inserted] = user_mark_.emplace(user, 0);
-  IDR_REQUIRE(inserted, "LinkUserIndex: user already registered");
+  if (user_mark_.size() <= user) user_mark_.resize(user + 1, kUnregistered);
+  IDR_REQUIRE(user_mark_[user] == kUnregistered,
+              "LinkUserIndex: user already registered");
+  user_mark_[user] = 0;
   for (const LinkId l : links) {
     IDR_REQUIRE(l < by_link_.size(), "LinkUserIndex: link out of range");
     by_link_[l].push_back(user);
@@ -21,7 +23,9 @@ void LinkUserIndex::add(UserId user, std::span<const LinkId> links) {
 }
 
 void LinkUserIndex::remove(UserId user, std::span<const LinkId> links) {
-  IDR_REQUIRE(user_mark_.erase(user) == 1, "LinkUserIndex: unknown user");
+  IDR_REQUIRE(user < user_mark_.size() && user_mark_[user] != kUnregistered,
+              "LinkUserIndex: unknown user");
+  user_mark_[user] = kUnregistered;
   for (const LinkId l : links) {
     IDR_REQUIRE(l < by_link_.size(), "LinkUserIndex: link out of range");
     auto& users = by_link_[l];

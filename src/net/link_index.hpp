@@ -1,4 +1,4 @@
-// Bipartite incidence index between links and opaque users.
+// Bipartite incidence index between links and dense users.
 //
 // The flow simulator registers every active flow against the links it
 // crosses; a rate-affecting event then only needs to recompute the
@@ -7,11 +7,14 @@
 // other's max-min allocation. The component walk is epoch-marked, so
 // repeated walks reuse the same mark storage and perform no heap
 // allocation once the output vectors are warm.
+//
+// Users are dense small integers (the flow simulator's slots), reused
+// once removed, so the marks live in a vector indexed by user and a walk
+// touches no hash table.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -21,12 +24,13 @@ namespace idr::net {
 
 class LinkUserIndex {
  public:
-  using UserId = std::uint64_t;
+  using UserId = std::uint32_t;
 
   /// Grows per-link storage to cover `count` links; existing data is kept.
   void ensure_links(std::size_t count);
 
-  /// Registers a user crossing `links`. A user id may be registered once.
+  /// Registers a user crossing `links`. A user must be removed before it
+  /// is registered again.
   void add(UserId user, std::span<const LinkId> links);
 
   /// Unregisters a user; `links` must match what was registered.
@@ -34,8 +38,6 @@ class LinkUserIndex {
 
   /// Users currently crossing `link` (unspecified order).
   const std::vector<UserId>& users_on(LinkId link) const;
-
-  std::size_t user_count() const { return user_mark_.size(); }
 
   /// Collects the connected component(s) of the bipartite user-link graph
   /// containing the seeds. `links_of(user)` must return (a range over) the
@@ -68,11 +70,14 @@ class LinkUserIndex {
   }
 
  private:
+  // Mark of a user slot that is not registered; walks never reach it.
+  static constexpr std::uint64_t kUnregistered = UINT64_MAX;
+
   void mark_user(UserId user, std::vector<UserId>& out) {
-    const auto it = user_mark_.find(user);
-    IDR_REQUIRE(it != user_mark_.end(), "LinkUserIndex: unknown user");
-    if (it->second == epoch_) return;
-    it->second = epoch_;
+    IDR_REQUIRE(user < user_mark_.size() && user_mark_[user] != kUnregistered,
+                "LinkUserIndex: unknown user");
+    if (user_mark_[user] == epoch_) return;
+    user_mark_[user] = epoch_;
     out.push_back(user);
   }
 
@@ -85,9 +90,7 @@ class LinkUserIndex {
 
   std::vector<std::vector<UserId>> by_link_;
   std::vector<std::uint64_t> link_mark_;
-  // Mark slot per registered user; erased on remove() so the map's size
-  // tracks live users, not the all-time id space.
-  std::unordered_map<UserId, std::uint64_t> user_mark_;
+  std::vector<std::uint64_t> user_mark_;  // by user; kUnregistered if free
   std::uint64_t epoch_ = 0;
 };
 

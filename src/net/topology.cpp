@@ -45,16 +45,6 @@ const Node& Topology::node(NodeId id) const {
   return nodes_[id];
 }
 
-const Link& Topology::link(LinkId id) const {
-  IDR_REQUIRE(id < links_.size(), "link: unknown id");
-  return links_[id];
-}
-
-Link& Topology::mutable_link(LinkId id) {
-  IDR_REQUIRE(id < links_.size(), "mutable_link: unknown id");
-  return links_[id];
-}
-
 std::optional<NodeId> Topology::find_node(std::string_view name) const {
   for (const Node& n : nodes_) {
     if (n.name == name) return n.id;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace idr::net {
@@ -77,8 +78,16 @@ class Topology {
   std::size_t link_count() const { return links_.size(); }
 
   const Node& node(NodeId id) const;
-  const Link& link(LinkId id) const;
-  Link& mutable_link(LinkId id);
+  // Inline: the flow simulator reads links on every reallocation and
+  // capacity change.
+  const Link& link(LinkId id) const {
+    IDR_REQUIRE(id < links_.size(), "link: unknown id");
+    return links_[id];
+  }
+  Link& mutable_link(LinkId id) {
+    IDR_REQUIRE(id < links_.size(), "mutable_link: unknown id");
+    return links_[id];
+  }
 
   /// Looks up a node by name; nullopt if absent.
   std::optional<NodeId> find_node(std::string_view name) const;

@@ -161,7 +161,9 @@ namespace {
 /// Value of a `"key":` field in a flat JSON object; npos-start when the
 /// key is absent.
 std::string_view field_value(std::string_view body, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  // Built by append: GCC 12 at -O3 reports a false -Wrestrict on
+  // `"literal" + std::string` (it inserts at the front).
+  const std::string needle = std::string("\"").append(key).append("\":");
   const std::size_t pos = body.find(needle);
   if (pos == std::string_view::npos) return {};
   std::string_view rest = body.substr(pos + needle.size());

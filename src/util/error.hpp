@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace idr::util {
 
@@ -17,13 +18,21 @@ class Error : public std::runtime_error {
 
 [[noreturn]] inline void fail(const std::string& msg) { throw Error(msg); }
 
+/// IDR_REQUIRE's failure path: throws Error("file:line: msg"). Kept out of
+/// line and cold so a check costs its caller one compare and one call,
+/// and small checked accessors stay cheap to inline.
+[[noreturn, gnu::cold, gnu::noinline]] inline void fail_at(
+    const char* file, int line, std::string_view msg) {
+  throw Error(std::string(file) + ":" + std::to_string(line) + ": " +
+              std::string(msg));
+}
+
 }  // namespace idr::util
 
 /// Internal invariant check; throws idr::util::Error with location info.
 #define IDR_REQUIRE(cond, msg)                                              \
   do {                                                                      \
-    if (!(cond)) {                                                          \
-      ::idr::util::fail(std::string(__FILE__) + ":" +                       \
-                        std::to_string(__LINE__) + ": " + (msg));           \
+    if (!(cond)) [[unlikely]] {                                             \
+      ::idr::util::fail_at(__FILE__, __LINE__, (msg));                      \
     }                                                                       \
   } while (0)

@@ -11,10 +11,12 @@
 // capacity-clamp fixes riding on the same path are covered at the end.
 #include "flow/flow_simulator.hpp"
 
+#include <functional>
 #include <gtest/gtest.h>
 #include <map>
 
 #include "flow/max_min.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -45,7 +47,8 @@ TEST_P(IncrementalMatchesScratch, RatesBitwiseEqualUnderChurn) {
   const auto link_count = static_cast<std::size_t>(rng.uniform_int(3, 10));
   net::NodeId prev = topo.add_node("n0");
   for (std::size_t l = 0; l < link_count; ++l) {
-    const net::NodeId next = topo.add_node("n" + std::to_string(l + 1));
+    const net::NodeId next =
+        topo.add_node(std::string("n").append(std::to_string(l + 1)));
     topo.add_link(prev, next, rng.uniform(1e5, 4e6), milliseconds(10));
     prev = next;
   }
@@ -120,14 +123,20 @@ TEST_P(IncrementalMatchesScratch, RatesBitwiseEqualUnderChurn) {
     });
   }
 
-  for (const double checkpoint : {2.0, 4.0, 6.0, 8.0, 10.0}) {
-    sim.run_until(checkpoint);
-    std::vector<Rate> capacities(topo.link_count());
+  // The live problem as the reference allocator sees it. A link carrying
+  // flows has its capacity current in the topology.
+  std::vector<Rate> capacities;
+  std::vector<FlowDemand> demands;
+  std::vector<FlowId> ids;
+  std::vector<Rate> rates;
+  const auto snapshot = [&] {
+    capacities.assign(topo.link_count(), 0.0);
     for (std::size_t l = 0; l < capacities.size(); ++l) {
       capacities[l] = topo.link(static_cast<net::LinkId>(l)).capacity;
     }
-    std::vector<FlowDemand> demands;
-    std::vector<FlowId> ids;
+    demands.clear();
+    ids.clear();
+    rates.clear();
     for (const auto& [id, t] : live) {
       FlowDemand d;
       d.links = t.links;
@@ -137,10 +146,23 @@ TEST_P(IncrementalMatchesScratch, RatesBitwiseEqualUnderChurn) {
       d.cap = std::min(t.ceiling * 1.0, t.extra_cap);
       demands.push_back(std::move(d));
       ids.push_back(id);
+      rates.push_back(fsim.current_rate(id));
     }
+  };
+
+  for (const double checkpoint : {2.0, 4.0, 6.0, 8.0, 10.0}) {
+    // Every churn step leaves an allocation that meets the definition.
+    while (!sim.empty() && sim.next_event_time() <= checkpoint) {
+      sim.step();
+      snapshot();
+      ASSERT_EQ(check_max_min(capacities, demands, rates), "")
+          << "after the event at t=" << sim.now();
+    }
+    sim.run_until(checkpoint);
+    snapshot();
     const std::vector<Rate> expect = max_min_allocate(capacities, demands);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(expect[i], fsim.current_rate(ids[i]))
+      EXPECT_EQ(expect[i], rates[i])
           << "flow " << ids[i] << " at t=" << checkpoint;
     }
   }
@@ -148,6 +170,271 @@ TEST_P(IncrementalMatchesScratch, RatesBitwiseEqualUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(RandomChurn, IncrementalMatchesScratch,
                          ::testing::Range<std::uint64_t>(1, 26));
+
+// --- Dense components: slow start and slot reuse ---------------------------
+
+// The cap FlowSimulator applies to a flow with cap_scale 1 whose ramp was
+// stepped eagerly: round k falls due at start + rtt summed k + 1 times
+// (the simulator's `ss_next += rtt`), and the ramp ends once its cap
+// reaches the ceiling. A parked ramp lags this, but only while its cap is
+// not binding, which leaves every rate bitwise unchanged.
+Rate eager_cap(const TcpConfig& tcp, TimePoint start, Duration rtt,
+               Rate ceiling, Rate extra_cap, TimePoint now) {
+  TimePoint due = start + rtt;
+  int round = 0;
+  Rate tcp_cap = std::min(slow_start_cap(tcp, rtt, 0), ceiling);
+  while (due < now) {
+    ++round;
+    const Rate ss_cap = slow_start_cap(tcp, rtt, round);
+    if (ss_cap >= ceiling) {
+      tcp_cap = ceiling;
+      break;
+    }
+    tcp_cap = std::min(ss_cap, ceiling);
+    due += rtt;
+  }
+  return std::min(tcp_cap * 1.0, extra_cap);
+}
+
+class DenseChurn : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The shape of a client whose downloads pile up: dozens of concurrent
+// ramping flows on a handful of links, most of them on identical paths,
+// and every completion starts the next transfer from inside its callback,
+// which puts it in the slot the completed flow just freed.
+TEST_P(DenseChurn, RatesBitwiseEqualWithSlowStartAndSlotReuse) {
+  util::Rng rng(GetParam());
+
+  sim::Simulator sim;
+  net::Topology topo;
+  constexpr std::size_t kLinks = 6;
+  net::NodeId prev = topo.add_node("n0");
+  for (std::size_t l = 0; l < kLinks; ++l) {
+    const net::NodeId next =
+        topo.add_node(std::string("n").append(std::to_string(l + 1)));
+    topo.add_link(prev, next, rng.uniform(4e6, 2e7), milliseconds(10));
+    prev = next;
+  }
+  FlowSimulator fsim(sim, topo, util::Rng(GetParam() ^ 0xde05e));
+  class Jitter final : public net::CapacityProcess {
+   public:
+    Rate initial(util::Rng& r) override { return r.uniform(4e6, 2e7); }
+    net::CapacityChange next(util::Rng& r) override {
+      return {0.7, r.uniform(2e6, 2e7)};
+    }
+  };
+  fsim.attach_capacity_process(0, std::make_unique<Jitter>());
+
+  // Link 0 is the client's access link; paths 4 and 5 join the cross
+  // link 5 to it through link 1, so every flow is in one component.
+  const std::vector<std::vector<std::size_t>> paths = {
+      {0}, {0, 1}, {0, 2}, {0, 3, 4}, {5}, {1, 5}};
+
+  struct Transfer {
+    std::size_t path = 0;
+    double size = 0.0;
+    Duration rtt = 0.0;
+    Rate ceiling = 0.0;
+    double recap_after = -1.0;  // set_extra_cap delay; < 0 = never
+    Rate recap = kUnlimitedRate;
+    double cancel_after = -1.0;
+  };
+  std::vector<Transfer> plan(240);
+  for (Transfer& t : plan) {
+    // Two thirds of the transfers share the busiest path.
+    t.path = rng.bernoulli(0.66)
+                 ? 1
+                 : static_cast<std::size_t>(rng.uniform_int(0, 5));
+    t.size = rng.uniform(2e5, 3e6);
+    t.rtt = rng.bernoulli(0.5) ? 0.05 : 0.08;
+    t.ceiling = rng.bernoulli(0.3) ? rng.uniform(1e5, 1e6) : 1e9;
+    if (rng.bernoulli(0.2)) {
+      t.recap_after = rng.uniform(0.05, 2.0);
+      t.recap = rng.uniform(2e4, 5e5);
+    }
+    if (rng.bernoulli(0.1)) t.cancel_after = rng.uniform(0.1, 3.0);
+  }
+
+  struct Tracked {
+    std::size_t path = 0;
+    TimePoint start = 0.0;
+    Duration rtt = 0.0;
+    Rate ceiling = 0.0;
+    Rate extra_cap = kUnlimitedRate;
+  };
+  std::map<FlowId, Tracked> live;  // ordered: ascending id
+  std::size_t next = 0;
+  std::size_t completions = 0;
+  const TcpConfig tcp{};
+
+  std::function<void()> start_next = [&] {
+    if (next == plan.size()) return;
+    const Transfer& t = plan[next++];
+    FlowOptions opt;  // slow start on
+    opt.rtt = t.rtt;
+    opt.ceiling_override = t.ceiling;
+    net::Path path;
+    for (const std::size_t l : paths[t.path]) {
+      path.links.push_back(static_cast<net::LinkId>(l));
+    }
+    const FlowId id =
+        fsim.start_flow(path, t.size, opt, [&](const FlowStats& s) {
+          ASSERT_EQ(live.erase(s.id), 1u);
+          ++completions;
+          start_next();
+        });
+    live.emplace(id, Tracked{t.path, sim.now(), t.rtt, t.ceiling,
+                             kUnlimitedRate});
+    if (t.recap_after >= 0.0) {
+      sim.schedule_in(t.recap_after, [&, id, cap = t.recap] {
+        if (!fsim.flow_active(id)) return;
+        fsim.set_extra_cap(id, cap);
+        live.at(id).extra_cap = cap;
+      });
+    }
+    if (t.cancel_after >= 0.0) {
+      sim.schedule_in(t.cancel_after, [&, id] {
+        if (!fsim.cancel_flow(id)) return;
+        live.erase(id);
+        start_next();
+      });
+    }
+  };
+  constexpr std::size_t kConcurrent = 64;
+  for (std::size_t i = 0; i < kConcurrent; ++i) {
+    sim.schedule_at(rng.uniform(0.0, 0.5), [&] { start_next(); });
+  }
+
+  std::size_t peak = 0;
+  std::size_t checks = 0;
+  for (int k = 0; k < 60; ++k) {
+    // Off the event grid: no round, completion or capacity change falls
+    // due exactly at a checkpoint.
+    const TimePoint checkpoint = 0.5 * k + 0.3137;
+    sim.run_until(checkpoint);
+    if (live.empty()) break;
+    peak = std::max(peak, live.size());
+    std::vector<Rate> capacities(kLinks);
+    for (std::size_t l = 0; l < kLinks; ++l) {
+      capacities[l] = topo.link(static_cast<net::LinkId>(l)).capacity;
+    }
+    std::vector<FlowDemand> demands;
+    std::vector<Rate> rates;
+    for (const auto& [id, t] : live) {
+      FlowDemand d;
+      d.links = paths[t.path];
+      d.cap = eager_cap(tcp, t.start, t.rtt, t.ceiling, t.extra_cap,
+                        checkpoint);
+      demands.push_back(std::move(d));
+      rates.push_back(fsim.current_rate(id));
+    }
+    ASSERT_EQ(live.size(), fsim.active_flows());
+    const std::vector<Rate> expect = max_min_allocate(capacities, demands);
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      ASSERT_EQ(expect[i], rates[i]) << "flow #" << i << " at t=" << checkpoint;
+    }
+    EXPECT_EQ(check_max_min(capacities, demands, rates), "");
+    ++checks;
+  }
+  EXPECT_GE(peak, 60u);
+  EXPECT_GT(checks, 10u);
+  EXPECT_GT(completions, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DenseSlowStart, DenseChurn,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+// --- Stale handles after slot reuse ----------------------------------------
+
+TEST(FlowSimulatorSlots, StaleIdIsInactiveAfterCompletion) {
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const net::Path p{{topo.add_link(a, b, mbps(8.0), 0.01)}};
+  FlowSimulator fsim(sim, topo, util::Rng(9));
+  FlowOptions opt;
+  opt.model_slow_start = false;
+
+  const FlowId first = fsim.start_flow(p, 1e5, opt, nullptr);
+  sim.run();
+  EXPECT_FALSE(fsim.flow_active(first));
+  EXPECT_FALSE(fsim.cancel_flow(first));
+  EXPECT_THROW(fsim.current_rate(first), util::Error);
+  EXPECT_THROW(fsim.bytes_remaining(first), util::Error);
+
+  // The next flow takes the freed slot under a new id; the old id still
+  // names nothing.
+  const FlowId second = fsim.start_flow(p, 1e5, opt, nullptr);
+  EXPECT_GT(second, first);
+  EXPECT_FALSE(fsim.flow_active(first));
+  EXPECT_FALSE(fsim.cancel_flow(first));
+  EXPECT_TRUE(fsim.flow_active(second));
+  EXPECT_EQ(fsim.active_flows(), 1u);
+  EXPECT_TRUE(fsim.cancel_flow(second));
+  EXPECT_FALSE(fsim.cancel_flow(second));
+}
+
+TEST(FlowSimulatorSlots, SimultaneousCompletionsFireInIdOrder) {
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const net::Path p{{topo.add_link(a, b, mbps(8.0), 0.01)}};
+  FlowSimulator fsim(sim, topo, util::Rng(11));
+  FlowOptions opt;
+  opt.model_slow_start = false;
+
+  // Flows 1 and 2 take slots 0 and 1 and free them in that order, so the
+  // next two flows take them back the other way round: 3 lands in slot 1,
+  // 4 in slot 0.
+  const FlowId f1 = fsim.start_flow(p, 1e6, opt, nullptr);
+  const FlowId f2 = fsim.start_flow(p, 1e6, opt, nullptr);
+  ASSERT_TRUE(fsim.cancel_flow(f1));
+  ASSERT_TRUE(fsim.cancel_flow(f2));
+  std::vector<FlowId> done;
+  const auto record = [&](const FlowStats& s) { done.push_back(s.id); };
+  const FlowId f3 = fsim.start_flow(p, 1e6, opt, record);
+  const FlowId f4 = fsim.start_flow(p, 1e6, opt, record);
+
+  // Equal sizes and rates from the same instant: both drain at once, and
+  // the tie goes to the completion timer armed first. Timers are re-armed
+  // in ascending id order, whichever slots the flows occupy.
+  sim.run();
+  EXPECT_EQ(done, (std::vector<FlowId>{f3, f4}));
+}
+
+TEST(FlowSimulatorSlots, SetExtraCapReachesOnlyTheFlowNowInTheSlot) {
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const net::Path p{{topo.add_link(a, b, mbps(8.0), 0.01)}};
+  FlowSimulator fsim(sim, topo, util::Rng(10));
+  FlowOptions opt;
+  opt.model_slow_start = false;
+
+  // The completion callback starts the successor, which reuses the slot.
+  FlowId successor = 0;
+  std::vector<FlowId> done;
+  const FlowId first = fsim.start_flow(p, 1e5, opt, [&](const FlowStats& s) {
+    done.push_back(s.id);
+    successor = fsim.start_flow(
+        p, 1e6, opt, [&](const FlowStats& t) { done.push_back(t.id); });
+  });
+  sim.run_until(0.5);
+  ASSERT_EQ(done, std::vector<FlowId>{first});
+  ASSERT_TRUE(fsim.flow_active(successor));
+  EXPECT_EQ(fsim.current_rate(successor), 1e6);
+
+  EXPECT_THROW(fsim.set_extra_cap(first, 1e5), util::Error);
+  EXPECT_EQ(fsim.current_rate(successor), 1e6);
+
+  fsim.set_extra_cap(successor, 2.5e5);
+  EXPECT_EQ(fsim.current_rate(successor), 2.5e5);
+  sim.run();
+  EXPECT_EQ(done, (std::vector<FlowId>{first, successor}));
+}
 
 // --- Counter regression: scoped work, pinned exactly ----------------------
 

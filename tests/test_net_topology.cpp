@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "net/link_index.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "util/error.hpp"
@@ -153,6 +154,35 @@ TEST(Routing, ConcatenateJunctionMismatch) {
   const LinkId l1 = topo.add_link(a, b, mbps(1), 0.01);
   const LinkId l2 = topo.add_link(a, c, mbps(1), 0.01);
   EXPECT_THROW(concatenate(topo, Path{{l1}}, Path{{l2}}), util::Error);
+}
+
+TEST(LinkUserIndex, RejectsDoubleAddAndUnknownRemove) {
+  LinkUserIndex index;
+  index.ensure_links(3);
+  const LinkId path[2] = {0, 2};
+  index.add(4, path);
+  EXPECT_THROW(index.add(4, path), util::Error);
+  EXPECT_THROW(index.remove(3, path), util::Error);   // never registered
+  EXPECT_THROW(index.remove(99, path), util::Error);  // beyond every slot
+  EXPECT_EQ(index.users_on(2), std::vector<LinkUserIndex::UserId>{4});
+
+  index.remove(4, path);
+  EXPECT_TRUE(index.users_on(0).empty());
+  EXPECT_THROW(index.remove(4, path), util::Error);
+  // A removed user is unknown to walks, and its slot can be registered
+  // again.
+  std::vector<LinkUserIndex::UserId> users;
+  std::vector<LinkId> links;
+  const auto links_of = [&](LinkUserIndex::UserId) {
+    return std::span<const LinkId>(path);
+  };
+  const LinkUserIndex::UserId seed[1] = {4};
+  EXPECT_THROW(index.collect_component(seed, {}, links_of, users, links),
+               util::Error);
+  index.add(4, path);
+  index.collect_component(seed, {}, links_of, users, links);
+  EXPECT_EQ(users, std::vector<LinkUserIndex::UserId>{4});
+  EXPECT_EQ(links, (std::vector<LinkId>{0, 2}));
 }
 
 }  // namespace
