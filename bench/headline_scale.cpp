@@ -318,12 +318,14 @@ int main(int argc, char** argv) {
       "    \"events_per_transfer\": %.6g,\n"
       "    \"events_per_transfer_bound\": %.6g,\n"
       "    \"flow_reallocations\": %llu,\n"
+      "    \"flow_solver_bypasses\": %llu,\n"
       "    \"flows_touched_per_reallocation\": %.6g,\n"
       "    \"events_per_transfer_by_kind\": {",
       static_cast<unsigned long long>(base_work.executed),
       static_cast<unsigned long long>(base_work.reschedules),
       events_per_transfer, kMaxEventsPerTransfer,
       static_cast<unsigned long long>(base_flow.reallocations),
+      static_cast<unsigned long long>(base_flow.solver_bypasses),
       flows_per_realloc);
   json += buf;
   for (std::size_t k = 0; k < sim::kEventKindCount; ++k) {

@@ -17,6 +17,17 @@ constexpr Rate kSlowStartStopBound = 12.5e9;  // 100 Gbit/s
 // drives them, so a degenerate draw can never park every flow on a link.
 constexpr Rate kCapacityFloor = 1.0;
 
+// Relative headroom a link must keep under the summed caps of its flows
+// for their component to count as cap-bound (see reallocate_component).
+constexpr double kCapBoundMargin = 1e-9;
+
+// Whether caps summing to `load` fit on a link of `capacity` with the
+// cap-bound margin to spare. A non-positive capacity never fits: the
+// solver rejects it, and the bypass must not hide that.
+bool fits_with_margin(Rate load, Rate capacity) {
+  return capacity > 0.0 && load <= capacity * (1.0 - kCapBoundMargin);
+}
+
 double sim_now_us(const void* ctx) {
   return static_cast<const sim::Simulator*>(ctx)->now() * 1e6;
 }
@@ -28,6 +39,7 @@ FlowSimulator::FlowSimulator(sim::Simulator& sim, net::Topology& topo,
   c_reallocations_ = metrics_.counter("sim.flow.reallocations");
   c_flows_touched_ = metrics_.counter("sim.flow.flows_touched");
   c_maxmin_rounds_ = metrics_.counter("sim.flow.maxmin_rounds");
+  c_solver_bypasses_ = metrics_.counter("sim.flow.solver_bypasses");
   c_timer_rearms_ = metrics_.counter("sim.flow.timer_rearms");
   c_skipped_events_ = metrics_.counter("sim.flow.skipped_events");
   g_flows_active_ = metrics_.gauge("sim.flow.flows_active");
@@ -42,6 +54,7 @@ FlowSimulator::Counters FlowSimulator::counters() const {
   c.reallocations = c_reallocations_.value();
   c.flows_touched = c_flows_touched_.value();
   c.maxmin_rounds = c_maxmin_rounds_.value();
+  c.solver_bypasses = c_solver_bypasses_.value();
   c.timer_rearms = c_timer_rearms_.value();
   c.skipped_events = c_skipped_events_.value();
   return c;
@@ -57,6 +70,7 @@ FlowSimulator::Counters FlowSimulator::counters_from(
   c.reallocations = series("sim.flow.reallocations");
   c.flows_touched = series("sim.flow.flows_touched");
   c.maxmin_rounds = series("sim.flow.maxmin_rounds");
+  c.solver_bypasses = series("sim.flow.solver_bypasses");
   c.timer_rearms = series("sim.flow.timer_rearms");
   c.skipped_events = series("sim.flow.skipped_events");
   return c;
@@ -260,7 +274,34 @@ void FlowSimulator::on_slow_start_round(Slot slot, FlowId id) {
   } else {
     f.ss_event = 0;  // ramp complete; ceiling governs from here
   }
+  // In a cap-bound component every other flow sits at its cap, and only
+  // this flow's cap moved. If the new cap still fits on its own links, the
+  // component stays cap-bound and a recompute would change this one rate
+  // to its cap: apply that directly, without walking the component.
+  if (f.cap_bound && fits_at_cap(slot, f)) {
+    c_reallocations_.inc();
+    c_flows_touched_.inc();
+    c_solver_bypasses_.inc();
+    settle(slot, f, effective_cap(f));
+#ifdef IDR_CHECK_MAX_MIN
+    collect_flow_component(slot);
+    check_component();
+#endif
+    return;
+  }
   reallocate_for_flow(slot);
+}
+
+bool FlowSimulator::fits_at_cap(Slot slot, const FlowState& f) const {
+  const Rate cap = effective_cap(f);  // unbounded: the load is infinite
+  for (const net::LinkId l : f.path.links) {
+    Rate load = cap;
+    for (const Slot u : index_.users_on(l)) {
+      if (u != slot) load += flows_[u].rate;
+    }
+    if (!fits_with_margin(load, topo_.link(l).capacity)) return false;
+  }
+  return true;
 }
 
 void FlowSimulator::step_slow_start(FlowState& f) {
@@ -359,7 +400,7 @@ void FlowSimulator::arm_completion(Slot slot, FlowState& f) {
   c_timer_rearms_.inc();
 }
 
-void FlowSimulator::reallocate_for_flow(Slot slot) {
+void FlowSimulator::collect_flow_component(Slot slot) {
   const Slot seed[1] = {slot};
   index_.collect_component(
       seed, {},
@@ -367,6 +408,10 @@ void FlowSimulator::reallocate_for_flow(Slot slot) {
         return flows_[u].path.links;
       },
       comp_slots_, comp_links_);
+}
+
+void FlowSimulator::reallocate_for_flow(Slot slot) {
+  collect_flow_component(slot);
   reallocate_component();
 }
 
@@ -386,53 +431,112 @@ void FlowSimulator::reallocate_component() {
   if (comp_slots_.empty()) return;
   c_flows_touched_.inc(comp_slots_.size());
 
-  // Canonical flow order: ascending id. It fixes the solver's flow
-  // indexing and the order in which the loop below re-arms timers (each
-  // re-arm takes a sequence number, and sequence numbers break ties
-  // between simultaneous events), so neither may depend on slot
-  // assignment or component discovery order.
-  comp_order_.clear();
-  for (const Slot slot : comp_slots_) {
-    comp_order_.push_back({flows_[slot].id, slot});
-  }
-  std::sort(comp_order_.begin(), comp_order_.end(),
-            [](const Member& a, const Member& b) { return a.id < b.id; });
-
   if (local_link_.size() < topo_.link_count()) {
     local_link_.resize(topo_.link_count());
   }
   ws_.clear();
+  link_load_.assign(comp_links_.size(), 0.0);
   for (std::size_t i = 0; i < comp_links_.size(); ++i) {
     local_link_[comp_links_[i]] = i;
     ws_.avail.push_back(topo_.link(comp_links_[i]).capacity);
   }
-  for (const Member& m : comp_order_) {
-    FlowState& f = flows_[m.slot];
-    replay_slow_start(f);
-    ws_.add_flow(effective_cap(f));
-    for (const net::LinkId l : f.path.links) ws_.add_link(local_link_[l]);
-  }
 
-  max_min_allocate(ws_);
-  c_maxmin_rounds_.inc(ws_.rounds);
-
-  for (std::size_t i = 0; i < comp_order_.size(); ++i) {
-    const Slot slot = comp_order_[i].slot;
+  // One pass in discovery order brings parked ramps current, fills the
+  // solver's workspace and sums the caps on each link. The order flows are
+  // listed in does not change the solution: within a progressive-filling
+  // round every flow frozen takes the same value (the round's cap or link
+  // level), so each link's residual sees the same subtractions whichever
+  // flow comes first.
+  for (const Slot slot : comp_slots_) {
     FlowState& f = flows_[slot];
-    const Rate rate = ws_.rate[i];
-    // Rates between events are exact in the fluid model, so an exact
-    // comparison is the right test: an unchanged rate means the flow's
-    // byte accounting and armed completion timer are still valid.
-    if (rate != f.rate) {
-      advance_flow(f);
-      f.rate = rate;
-      arm_completion(slot, f);
-    }
-    // A parked ramp whose cap now binds steps again from its next round.
-    if (f.in_slow_start && f.ss_event == 0 && !(f.rate < effective_cap(f))) {
-      arm_slow_start(slot, f);
+    replay_slow_start(f);
+    const Rate cap = effective_cap(f);
+    ws_.add_flow(cap);
+    for (const net::LinkId l : f.path.links) {
+      const std::size_t i = local_link_[l];
+      ws_.add_link(i);
+      link_load_[i] += cap;  // an unbounded cap makes the load infinite
     }
   }
+  bool cap_bound = true;
+  for (std::size_t i = 0; cap_bound && i < comp_links_.size(); ++i) {
+    cap_bound = fits_with_margin(link_load_[i], ws_.avail[i]);
+  }
+
+  if (cap_bound) {
+    // Every progressive-filling round would be a cap round. On each link
+    // the caps of the flows still unfrozen sum to at most the link's
+    // residual capacity less the margin, so the smallest unfrozen cap
+    // never exceeds any link's equal share and freeze(f, cap[f]) assigns
+    // the cap itself. The residuals the solver would compute carry a
+    // rounding error of at most about k * eps * capacity after k
+    // subtractions, as does the sum above: far inside 1e-9 * capacity for
+    // any realistic k. So each rate is its cap, bit for bit.
+    c_solver_bypasses_.inc();
+  } else {
+    max_min_allocate(ws_);
+    c_maxmin_rounds_.inc(ws_.rounds);
+  }
+
+  // Settle, in ascending id order, the flows settle() acts on: a moved
+  // rate or a parked ramp. Each re-arm takes a sequence number, and
+  // sequence numbers break ties between simultaneous events, so the order
+  // may not depend on slot assignment or discovery order.
+  comp_settle_.clear();
+  for (std::size_t i = 0; i < comp_slots_.size(); ++i) {
+    const Slot slot = comp_slots_[i];
+    FlowState& f = flows_[slot];
+    f.cap_bound = cap_bound;
+    const Rate rate = cap_bound ? ws_.cap[i] : ws_.rate[i];
+    if (rate != f.rate || (f.in_slow_start && f.ss_event == 0)) {
+      comp_settle_.push_back({f.id, slot, rate});
+    }
+  }
+  std::sort(comp_settle_.begin(), comp_settle_.end(),
+            [](const Settle& a, const Settle& b) { return a.id < b.id; });
+  for (const Settle& s : comp_settle_) settle(s.slot, flows_[s.slot], s.rate);
+#ifdef IDR_CHECK_MAX_MIN
+  check_component();
+#endif
+}
+
+void FlowSimulator::settle(Slot slot, FlowState& f, Rate rate) {
+  // Rates between events are exact in the fluid model, so an exact
+  // comparison is the right test: an unchanged rate means the flow's
+  // byte accounting and armed completion timer are still valid.
+  if (rate != f.rate) {
+    advance_flow(f);
+    f.rate = rate;
+    arm_completion(slot, f);
+  }
+  // A parked ramp whose cap now binds steps again from its next round.
+  if (f.in_slow_start && f.ss_event == 0 && !(f.rate < effective_cap(f))) {
+    arm_slow_start(slot, f);
+  }
+}
+
+void FlowSimulator::check_component() {
+  if (local_link_.size() < topo_.link_count()) {
+    local_link_.resize(topo_.link_count());
+  }
+  std::vector<Rate> capacities;
+  for (std::size_t i = 0; i < comp_links_.size(); ++i) {
+    local_link_[comp_links_[i]] = i;
+    capacities.push_back(topo_.link(comp_links_[i]).capacity);
+  }
+  std::vector<FlowDemand> demands;
+  std::vector<Rate> rates;
+  for (const Slot slot : comp_slots_) {
+    const FlowState& f = flows_[slot];
+    FlowDemand& d = demands.emplace_back();
+    d.cap = effective_cap(f);
+    for (const net::LinkId l : f.path.links) d.links.push_back(local_link_[l]);
+    rates.push_back(f.rate);
+  }
+  const std::string violation = check_max_min(capacities, demands, rates);
+  IDR_REQUIRE(violation.empty(),
+              std::string("FlowSimulator: rates are not max-min fair: ")
+                  .append(violation));
 }
 
 void FlowSimulator::on_completion(Slot slot, FlowId id) {

@@ -25,9 +25,10 @@
 // is reused by the next start_flow (possibly from inside a completion
 // callback) and keeps its path's link storage. FlowId stays a monotone
 // counter, independent of slots: the public handles, FlowStats::id and the
-// ascending-id order that fixes the solver's floating-point sequence do
-// not depend on which slot a flow happens to occupy. A FlowId -> slot map
-// serves only the public calls that take a FlowId.
+// ascending-id order in which a recompute re-arms timers do not depend on
+// which slot a flow happens to occupy. (The solver's rates do not depend
+// on the order flows are listed in at all.) A FlowId -> slot map serves
+// only the public calls that take a FlowId.
 //
 // Slow-start ramps park the same way. A round whose previous cap was not
 // binding keeps its next due time but schedules no event: until the next
@@ -36,6 +37,16 @@
 // the rounds due strictly before now() (same doubling, same `t + rtt`
 // sums) and re-arms the round event only if the flow binds after the
 // solve.
+//
+// Cap-bound components skip the solver. When every flow of a component
+// has a finite cap and the caps on each link sum to at most
+// capacity * (1 - 1e-9), progressive filling would freeze every flow at
+// exactly its cap, so the recompute sets each rate to its cap without
+// running max_min_allocate. A flow remembers that its last recompute found
+// its component cap-bound; while that holds, its binding slow-start rounds
+// update only the flow itself if the new cap still fits on each link of
+// its path. Rates, re-arm order and the event sequence are those the full
+// solve would give (DESIGN §6.5).
 //
 // Capacity processes are lazy. A link that carries no flow keeps its
 // process parked: the next drawn change and its absolute due time, but no
@@ -129,6 +140,10 @@ class FlowSimulator {
     std::uint64_t flows_touched = 0;
     /// Progressive-filling rounds executed, summed over reallocations.
     std::uint64_t maxmin_rounds = 0;
+    /// Reallocations that set every rate to its cap without running the
+    /// solver: cap-bound components and in-place slow-start rounds (the
+    /// latter touch 1 flow each). Neither adds to maxmin_rounds.
+    std::uint64_t solver_bypasses = 0;
     /// Completion timers armed or re-armed (a re-arm also cancels).
     std::uint64_t timer_rearms = 0;
     /// Events proven rate-neutral without recomputing: non-binding
@@ -248,6 +263,10 @@ class FlowSimulator {
     sim::EventId ss_event = 0;
     sim::EventId completion_event = 0;
     bool completion_armed = false;
+    /// The last recompute covering this flow found its component
+    /// cap-bound, and the flow's rate has tracked its cap since. Every
+    /// recompute rewrites it for the whole component; release() clears it.
+    bool cap_bound = false;
     CompletionCallback on_done;
   };
 
@@ -279,6 +298,8 @@ class FlowSimulator {
   /// Brings one flow's remaining-byte accounting current.
   void advance_flow(FlowState& f);
 
+  /// Collects the component containing `slot` into comp_slots_/comp_links_.
+  void collect_flow_component(Slot slot);
   /// Recomputes rates for the component(s) containing the seed flow/links
   /// and re-arms completion timers of flows whose rate changed.
   void reallocate_for_flow(Slot slot);
@@ -286,6 +307,16 @@ class FlowSimulator {
   /// Shared tail: solves for the flows/links already collected into
   /// comp_slots_/comp_links_ and applies the result.
   void reallocate_component();
+  /// Gives `f` its newly computed rate (advancing its bytes and re-arming
+  /// its completion only if the rate changed) and re-arms a parked ramp
+  /// that now binds. Called in ascending id order within a recompute.
+  void settle(Slot slot, FlowState& f, Rate rate);
+  /// Whether `f`, cap-bound, still fits at its current cap on every link
+  /// of its path, its neighbours there at their rates (their caps).
+  bool fits_at_cap(Slot slot, const FlowState& f) const;
+  /// Checked builds: tests the collected component's rates against the
+  /// max-min definition and throws on a violation.
+  void check_component();
 
   void arm_completion(Slot slot, FlowState& f);
   void arm_slow_start(Slot slot, FlowState& f);
@@ -326,13 +357,15 @@ class FlowSimulator {
   net::LinkUserIndex index_;
   MaxMinWorkspace ws_;
   std::vector<Slot> comp_slots_;
-  struct Member {
+  struct Settle {
     FlowId id;
     Slot slot;
+    Rate rate;
   };
-  std::vector<Member> comp_order_;  // comp_slots_ in ascending id order
+  std::vector<Settle> comp_settle_;  // flows a recompute re-arms, by id
   std::vector<net::LinkId> comp_links_;
   std::vector<std::size_t> local_link_;  // LinkId -> component-local index
+  std::vector<Rate> link_load_;  // by component-local link: sum of caps
 
   // Observability: registry cells are resolved once in the constructor;
   // every hot-path increment below is one branch plus one store.
@@ -340,6 +373,7 @@ class FlowSimulator {
   obs::Counter c_reallocations_;
   obs::Counter c_flows_touched_;
   obs::Counter c_maxmin_rounds_;
+  obs::Counter c_solver_bypasses_;
   obs::Counter c_timer_rearms_;
   obs::Counter c_skipped_events_;
   obs::Gauge g_flows_active_;

@@ -161,11 +161,6 @@ double histogram_percentile(const MetricValue& hist, double q) {
 
 // --- Handles ----------------------------------------------------------------
 
-void Counter::inc(std::uint64_t n) const {
-  if (cell_ == nullptr) return;
-  add_u64(cell_, n, atomic_);
-}
-
 std::uint64_t Counter::value() const {
   return cell_ == nullptr ? 0 : read_u64(cell_, atomic_);
 }

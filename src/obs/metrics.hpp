@@ -23,6 +23,7 @@
 // prometheus text exposition format.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -88,7 +89,16 @@ double histogram_percentile(const MetricValue& hist, double q);
 class Counter {
  public:
   Counter() = default;
-  void inc(std::uint64_t n = 1) const;
+  /// Inline: the simulator's hot paths bump several counters per event.
+  void inc(std::uint64_t n = 1) const {
+    if (cell_ == nullptr) return;
+    if (atomic_) {
+      std::atomic_ref<std::uint64_t>(*cell_).fetch_add(
+          n, std::memory_order_relaxed);
+    } else {
+      *cell_ += n;
+    }
+  }
   std::uint64_t value() const;
   bool valid() const { return cell_ != nullptr; }
 

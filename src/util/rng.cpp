@@ -75,13 +75,11 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-double Rng::normal() {
-  return std::normal_distribution<double>(0.0, 1.0)(engine_);
-}
+double Rng::normal() { return polar_normal(engine_, 0.0, 1.0); }
 
 double Rng::normal(double mean, double stddev) {
   IDR_REQUIRE(stddev >= 0.0, "normal: negative stddev");
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  return polar_normal(engine_, mean, stddev);
 }
 
 double Rng::lognormal_mean_cv(double mean, double cv) {
@@ -92,7 +90,8 @@ double Rng::lognormal_mean_cv(double mean, double cv) {
   // CV^2 = exp(sigma^2) - 1. Invert for (mu, sigma).
   const double sigma2 = std::log1p(cv * cv);
   const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::lognormal_distribution<double>(mu, std::sqrt(sigma2))(engine_);
+  // std::lognormal_distribution(mu, sigma): exp(sigma * N(0, 1) + mu).
+  return std::exp(std::sqrt(sigma2) * polar_normal(engine_, 0.0, 1.0) + mu);
 }
 
 double Rng::exponential(double mean) {

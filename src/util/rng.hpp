@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <random>
@@ -77,6 +78,31 @@ class Mt19937_64 {
   std::array<result_type, kN> state_;
   std::size_t index_ = kN;
 };
+
+/// std::generate_canonical<double, 53> on a 64-bit engine, as libstdc++
+/// computes it: one word scaled by 2^-64, and a word that rounds up to 1.0
+/// clamped to the largest double below 1.
+template <typename Engine>
+double canonical_double(Engine& engine) {
+  static_assert(Engine::min() == 0 && Engine::max() == ~std::uint64_t{0});
+  const double u = static_cast<double>(engine()) * 0x1p-64;
+  return u < 1.0 ? u : std::nextafter(1.0, 0.0);
+}
+
+/// One draw of a freshly constructed std::normal_distribution(mean,
+/// stddev) as libstdc++ computes it (Marsaglia's polar method; the second
+/// variate of the accepted pair is discarded, as a distribution used once
+/// discards it), without building the distribution.
+template <typename Engine>
+double polar_normal(Engine& engine, double mean, double stddev) {
+  double x = 0.0, y = 0.0, r2 = 0.0;
+  do {
+    x = 2.0 * canonical_double(engine) - 1.0;
+    y = 2.0 * canonical_double(engine) - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 > 1.0 || r2 == 0.0);
+  return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
+}
 
 /// A seeded pseudo-random stream with the distributions the library needs.
 ///

@@ -176,14 +176,16 @@ INSTANTIATE_TEST_SUITE_P(RandomChurn, IncrementalMatchesScratch,
 // The cap FlowSimulator applies to a flow with cap_scale 1 whose ramp was
 // stepped eagerly: round k falls due at start + rtt summed k + 1 times
 // (the simulator's `ss_next += rtt`), and the ramp ends once its cap
-// reaches the ceiling. A parked ramp lags this, but only while its cap is
-// not binding, which leaves every rate bitwise unchanged.
+// reaches the ceiling. Rounds due at `now` count as run, so callers check
+// after every event due at `now` has fired. A parked ramp lags this, but
+// only while its cap is not binding, which leaves every rate bitwise
+// unchanged.
 Rate eager_cap(const TcpConfig& tcp, TimePoint start, Duration rtt,
                Rate ceiling, Rate extra_cap, TimePoint now) {
   TimePoint due = start + rtt;
   int round = 0;
   Rate tcp_cap = std::min(slow_start_cap(tcp, rtt, 0), ceiling);
-  while (due < now) {
+  while (due <= now) {
     ++round;
     const Rate ss_cap = slow_start_cap(tcp, rtt, round);
     if (ss_cap >= ceiling) {
@@ -196,40 +198,12 @@ Rate eager_cap(const TcpConfig& tcp, TimePoint start, Duration rtt,
   return std::min(tcp_cap * 1.0, extra_cap);
 }
 
-class DenseChurn : public ::testing::TestWithParam<std::uint64_t> {};
-
-// The shape of a client whose downloads pile up: dozens of concurrent
-// ramping flows on a handful of links, most of them on identical paths,
-// and every completion starts the next transfer from inside its callback,
-// which puts it in the slot the completed flow just freed.
-TEST_P(DenseChurn, RatesBitwiseEqualWithSlowStartAndSlotReuse) {
-  util::Rng rng(GetParam());
-
-  sim::Simulator sim;
-  net::Topology topo;
-  constexpr std::size_t kLinks = 6;
-  net::NodeId prev = topo.add_node("n0");
-  for (std::size_t l = 0; l < kLinks; ++l) {
-    const net::NodeId next =
-        topo.add_node(std::string("n").append(std::to_string(l + 1)));
-    topo.add_link(prev, next, rng.uniform(4e6, 2e7), milliseconds(10));
-    prev = next;
-  }
-  FlowSimulator fsim(sim, topo, util::Rng(GetParam() ^ 0xde05e));
-  class Jitter final : public net::CapacityProcess {
-   public:
-    Rate initial(util::Rng& r) override { return r.uniform(4e6, 2e7); }
-    net::CapacityChange next(util::Rng& r) override {
-      return {0.7, r.uniform(2e6, 2e7)};
-    }
-  };
-  fsim.attach_capacity_process(0, std::make_unique<Jitter>());
-
-  // Link 0 is the client's access link; paths 4 and 5 join the cross
-  // link 5 to it through link 1, so every flow is in one component.
-  const std::vector<std::vector<std::size_t>> paths = {
-      {0}, {0, 1}, {0, 2}, {0, 3, 4}, {5}, {1, 5}};
-
+// Ramping transfers over a chain of links whose link 0 carries a capacity
+// process. Each completion or cancellation starts the next planned
+// transfer from inside its callback, which puts it in the slot the
+// departing flow just freed. Tests fill `plan`, schedule the first starts
+// and compare against a from-scratch solve when no event is due.
+struct RampChurn {
   struct Transfer {
     std::size_t path = 0;
     double size = 0.0;
@@ -239,8 +213,138 @@ TEST_P(DenseChurn, RatesBitwiseEqualWithSlowStartAndSlotReuse) {
     Rate recap = kUnlimitedRate;
     double cancel_after = -1.0;
   };
-  std::vector<Transfer> plan(240);
-  for (Transfer& t : plan) {
+  struct Tracked {
+    std::size_t path = 0;
+    TimePoint start = 0.0;
+    Duration rtt = 0.0;
+    Rate ceiling = 0.0;
+    Rate extra_cap = kUnlimitedRate;
+  };
+
+  RampChurn(const std::vector<Rate>& capacities, std::uint64_t seed,
+            std::unique_ptr<net::CapacityProcess> link0,
+            std::vector<std::vector<std::size_t>> paths_in)
+      : fsim(sim, topo, util::Rng(seed)), paths(std::move(paths_in)) {
+    net::NodeId prev = topo.add_node("n0");
+    for (std::size_t l = 0; l < capacities.size(); ++l) {
+      const net::NodeId next_node =
+          topo.add_node(std::string("n").append(std::to_string(l + 1)));
+      topo.add_link(prev, next_node, capacities[l], milliseconds(10));
+      prev = next_node;
+    }
+    fsim.attach_capacity_process(0, std::move(link0));
+  }
+  RampChurn(const RampChurn&) = delete;
+  RampChurn& operator=(const RampChurn&) = delete;
+
+  void start_next() {
+    if (next == plan.size()) return;
+    const Transfer& t = plan[next++];
+    FlowOptions opt;  // slow start on
+    opt.rtt = t.rtt;
+    opt.ceiling_override = t.ceiling;
+    net::Path path;
+    for (const std::size_t l : paths[t.path]) {
+      path.links.push_back(static_cast<net::LinkId>(l));
+    }
+    const FlowId id = fsim.start_flow(path, t.size, opt,
+                                      [this](const FlowStats& s) {
+                                        ASSERT_EQ(live.erase(s.id), 1u);
+                                        ++completions;
+                                        start_next();
+                                      });
+    live.emplace(id, Tracked{t.path, sim.now(), t.rtt, t.ceiling,
+                             kUnlimitedRate});
+    if (t.recap_after >= 0.0) {
+      sim.schedule_in(t.recap_after, [this, id, cap = t.recap] {
+        if (!fsim.flow_active(id)) return;
+        fsim.set_extra_cap(id, cap);
+        live.at(id).extra_cap = cap;
+      });
+    }
+    if (t.cancel_after >= 0.0) {
+      sim.schedule_in(t.cancel_after, [this, id] {
+        if (!fsim.cancel_flow(id)) return;
+        live.erase(id);
+        start_next();
+      });
+    }
+  }
+
+  // Every live rate equals, bit for bit, a from-scratch solve with the
+  // eager ramp caps at `now` (after every event due at `now` has run), and
+  // meets the max-min definition.
+  void expect_matches_scratch(TimePoint now) {
+    ASSERT_EQ(live.size(), fsim.active_flows());
+    std::vector<Rate> capacities(topo.link_count());
+    for (std::size_t l = 0; l < capacities.size(); ++l) {
+      capacities[l] = topo.link(static_cast<net::LinkId>(l)).capacity;
+    }
+    std::vector<FlowDemand> demands;
+    std::vector<Rate> rates;
+    for (const auto& [id, t] : live) {
+      FlowDemand& d = demands.emplace_back();
+      d.links = paths[t.path];
+      d.cap = eager_cap(tcp, t.start, t.rtt, t.ceiling, t.extra_cap, now);
+      rates.push_back(fsim.current_rate(id));
+    }
+    const std::vector<Rate> expect = max_min_allocate(capacities, demands);
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      ASSERT_EQ(expect[i], rates[i]) << "flow #" << i << " at t=" << now;
+    }
+    ASSERT_EQ(check_max_min(capacities, demands, rates), "") << "t=" << now;
+  }
+
+  sim::Simulator sim;
+  net::Topology topo;
+  FlowSimulator fsim;
+  const std::vector<std::vector<std::size_t>> paths;
+  const TcpConfig tcp{};
+  std::vector<Transfer> plan;
+  std::map<FlowId, Tracked> live;  // ordered: ascending id
+  std::size_t next = 0;
+  std::size_t completions = 0;
+};
+
+// A capacity process drawing uniformly from a range at a fixed dwell.
+class UniformJitter final : public net::CapacityProcess {
+ public:
+  UniformJitter(Rate initial_lo, Rate initial_hi, Duration dwell, Rate lo,
+                Rate hi)
+      : initial_lo_(initial_lo),
+        initial_hi_(initial_hi),
+        dwell_(dwell),
+        lo_(lo),
+        hi_(hi) {}
+  Rate initial(util::Rng& r) override {
+    return r.uniform(initial_lo_, initial_hi_);
+  }
+  net::CapacityChange next(util::Rng& r) override {
+    return {dwell_, r.uniform(lo_, hi_)};
+  }
+
+ private:
+  Rate initial_lo_, initial_hi_;
+  Duration dwell_;
+  Rate lo_, hi_;
+};
+
+class DenseChurn : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The shape of a client whose downloads pile up: dozens of concurrent
+// ramping flows on a handful of links, most of them on identical paths.
+TEST_P(DenseChurn, RatesBitwiseEqualWithSlowStartAndSlotReuse) {
+  util::Rng rng(GetParam());
+  std::vector<Rate> capacities(6);
+  for (Rate& c : capacities) c = rng.uniform(4e6, 2e7);
+  // Link 0 is the client's access link; paths 4 and 5 join the cross
+  // link 5 to it through link 1, so every flow is in one component.
+  RampChurn w(capacities, GetParam() ^ 0xde05e,
+              std::make_unique<UniformJitter>(4e6, 2e7, 0.7, 2e6, 2e7),
+              {{0}, {0, 1}, {0, 2}, {0, 3, 4}, {5}, {1, 5}});
+
+  w.plan.resize(240);
+  for (RampChurn::Transfer& t : w.plan) {
     // Two thirds of the transfers share the busiest path.
     t.path = rng.bernoulli(0.66)
                  ? 1
@@ -254,55 +358,8 @@ TEST_P(DenseChurn, RatesBitwiseEqualWithSlowStartAndSlotReuse) {
     }
     if (rng.bernoulli(0.1)) t.cancel_after = rng.uniform(0.1, 3.0);
   }
-
-  struct Tracked {
-    std::size_t path = 0;
-    TimePoint start = 0.0;
-    Duration rtt = 0.0;
-    Rate ceiling = 0.0;
-    Rate extra_cap = kUnlimitedRate;
-  };
-  std::map<FlowId, Tracked> live;  // ordered: ascending id
-  std::size_t next = 0;
-  std::size_t completions = 0;
-  const TcpConfig tcp{};
-
-  std::function<void()> start_next = [&] {
-    if (next == plan.size()) return;
-    const Transfer& t = plan[next++];
-    FlowOptions opt;  // slow start on
-    opt.rtt = t.rtt;
-    opt.ceiling_override = t.ceiling;
-    net::Path path;
-    for (const std::size_t l : paths[t.path]) {
-      path.links.push_back(static_cast<net::LinkId>(l));
-    }
-    const FlowId id =
-        fsim.start_flow(path, t.size, opt, [&](const FlowStats& s) {
-          ASSERT_EQ(live.erase(s.id), 1u);
-          ++completions;
-          start_next();
-        });
-    live.emplace(id, Tracked{t.path, sim.now(), t.rtt, t.ceiling,
-                             kUnlimitedRate});
-    if (t.recap_after >= 0.0) {
-      sim.schedule_in(t.recap_after, [&, id, cap = t.recap] {
-        if (!fsim.flow_active(id)) return;
-        fsim.set_extra_cap(id, cap);
-        live.at(id).extra_cap = cap;
-      });
-    }
-    if (t.cancel_after >= 0.0) {
-      sim.schedule_in(t.cancel_after, [&, id] {
-        if (!fsim.cancel_flow(id)) return;
-        live.erase(id);
-        start_next();
-      });
-    }
-  };
-  constexpr std::size_t kConcurrent = 64;
-  for (std::size_t i = 0; i < kConcurrent; ++i) {
-    sim.schedule_at(rng.uniform(0.0, 0.5), [&] { start_next(); });
+  for (std::size_t i = 0; i < 64; ++i) {
+    w.sim.schedule_at(rng.uniform(0.0, 0.5), [&w] { w.start_next(); });
   }
 
   std::size_t peak = 0;
@@ -311,37 +368,69 @@ TEST_P(DenseChurn, RatesBitwiseEqualWithSlowStartAndSlotReuse) {
     // Off the event grid: no round, completion or capacity change falls
     // due exactly at a checkpoint.
     const TimePoint checkpoint = 0.5 * k + 0.3137;
-    sim.run_until(checkpoint);
-    if (live.empty()) break;
-    peak = std::max(peak, live.size());
-    std::vector<Rate> capacities(kLinks);
-    for (std::size_t l = 0; l < kLinks; ++l) {
-      capacities[l] = topo.link(static_cast<net::LinkId>(l)).capacity;
-    }
-    std::vector<FlowDemand> demands;
-    std::vector<Rate> rates;
-    for (const auto& [id, t] : live) {
-      FlowDemand d;
-      d.links = paths[t.path];
-      d.cap = eager_cap(tcp, t.start, t.rtt, t.ceiling, t.extra_cap,
-                        checkpoint);
-      demands.push_back(std::move(d));
-      rates.push_back(fsim.current_rate(id));
-    }
-    ASSERT_EQ(live.size(), fsim.active_flows());
-    const std::vector<Rate> expect = max_min_allocate(capacities, demands);
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-      ASSERT_EQ(expect[i], rates[i]) << "flow #" << i << " at t=" << checkpoint;
-    }
-    EXPECT_EQ(check_max_min(capacities, demands, rates), "");
+    w.sim.run_until(checkpoint);
+    if (w.live.empty()) break;
+    peak = std::max(peak, w.live.size());
+    ASSERT_NO_FATAL_FAILURE(w.expect_matches_scratch(checkpoint));
     ++checks;
   }
   EXPECT_GE(peak, 60u);
   EXPECT_GT(checks, 10u);
-  EXPECT_GT(completions, 100u);
+  EXPECT_GT(w.completions, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(DenseSlowStart, DenseChurn,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+// --- Cap-bound components: solver bypass and in-place rounds --------------
+
+class CapBoundChurn : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Ramping flows with small ceilings on wide links. Most of the time every
+// flow sits at its cap: recomputes bypass the solver and binding rounds
+// update their flow in place. Now and then the caps on link 0 add up past
+// its capacity, which its process moves, and the full solver runs.
+TEST_P(CapBoundChurn, RatesBitwiseEqualAfterEveryEvent) {
+  util::Rng rng(GetParam());
+  std::vector<Rate> capacities(5);
+  for (Rate& c : capacities) c = rng.uniform(2e7, 4e7);
+  RampChurn w(capacities, GetParam() ^ 0xcab0,
+              std::make_unique<UniformJitter>(1e7, 4e7, 0.9, 4e6, 4e7),
+              {{0}, {0, 1}, {0, 2}, {1, 3}, {4}, {3, 4}});
+
+  w.plan.resize(200);
+  for (RampChurn::Transfer& t : w.plan) {
+    t.path = static_cast<std::size_t>(rng.uniform_int(0, 5));
+    t.size = rng.uniform(1e5, 2e6);
+    t.rtt = rng.bernoulli(0.5) ? 0.05 : 0.08;
+    t.ceiling = rng.uniform(2e5, 2e6);
+    if (rng.bernoulli(0.15)) {
+      t.recap_after = rng.uniform(0.05, 1.5);
+      t.recap = rng.uniform(1e5, 1e6);
+    }
+    if (rng.bernoulli(0.05)) t.cancel_after = rng.uniform(0.1, 2.0);
+  }
+  for (std::size_t i = 0; i < 24; ++i) {
+    w.sim.schedule_at(rng.uniform(0.0, 0.5), [&w] { w.start_next(); });
+  }
+
+  std::size_t checks = 0;
+  while (!w.sim.empty()) {
+    w.sim.step();
+    // Check once every event due now has run (in practice, after every
+    // event: no two of this workload's events share a time stamp).
+    if (!w.sim.empty() && w.sim.next_event_time() <= w.sim.now()) continue;
+    ASSERT_NO_FATAL_FAILURE(w.expect_matches_scratch(w.sim.now()));
+    ++checks;
+  }
+  EXPECT_GT(w.completions, 150u);
+  EXPECT_GT(checks, 1000u);
+  const FlowSimulator::Counters c = w.fsim.counters();
+  EXPECT_GT(c.solver_bypasses, 0u);
+  EXPECT_GT(c.maxmin_rounds, 0u);  // only full solves run rounds
+}
+
+INSTANTIATE_TEST_SUITE_P(CapBound, CapBoundChurn,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 // --- Stale handles after slot reuse ----------------------------------------
@@ -402,6 +491,37 @@ TEST(FlowSimulatorSlots, SimultaneousCompletionsFireInIdOrder) {
   // in ascending id order, whichever slots the flows occupy.
   sim.run();
   EXPECT_EQ(done, (std::vector<FlowId>{f3, f4}));
+}
+
+TEST(FlowSimulatorSlots, CapBoundRecomputeReArmsInIdOrder) {
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const net::Path p{{topo.add_link(a, b, mbps(8.0), 0.01)}};
+  FlowSimulator fsim(sim, topo, util::Rng(15));
+  FlowOptions wide;
+  wide.model_slow_start = false;
+  FlowOptions capped = wide;
+  capped.ceiling_override = 4e5;
+
+  // The link lists its users as {wide, f1, f2}; removing `wide` swaps f2
+  // into its place, so the departure's recompute discovers f2 before f1.
+  // Both rise from a third of the link to their 4e5 cap in one bypassed
+  // recompute, with equal bytes left: the completion re-armed first wins
+  // the tie, and that must be the lower id.
+  const FlowId wide_id = fsim.start_flow(p, 1e9, wide, nullptr);
+  std::vector<FlowId> done;
+  const auto record = [&](const FlowStats& s) { done.push_back(s.id); };
+  const FlowId f1 = fsim.start_flow(p, 1e6, capped, record);
+  const FlowId f2 = fsim.start_flow(p, 1e6, capped, record);
+  const std::uint64_t bypasses = fsim.counters().solver_bypasses;
+  ASSERT_TRUE(fsim.cancel_flow(wide_id));
+  EXPECT_EQ(fsim.counters().solver_bypasses, bypasses + 1);
+  EXPECT_EQ(fsim.current_rate(f1), 4e5);
+  EXPECT_EQ(fsim.current_rate(f2), 4e5);
+  sim.run();
+  EXPECT_EQ(done, (std::vector<FlowId>{f1, f2}));
 }
 
 TEST(FlowSimulatorSlots, SetExtraCapReachesOnlyTheFlowNowInTheSlot) {
@@ -492,6 +612,95 @@ TEST(FlowSimulatorCounters, ScriptedScenarioPinsWorkCounts) {
   // departure. Only f3's abort is an actual cancellation.
   EXPECT_EQ(sim.cancellations(), 1u);
   EXPECT_EQ(sim.reschedules(), 5u);
+}
+
+TEST(FlowSimulatorCounters, CapBoundRampsStepInPlace) {
+  // Two flows ramping to a 1e6 B/s ceiling on a 1e9 B/s link: every flow
+  // is always at its cap. RTT 0.1 s, so the ramp cap is 29200 * 2^k B/s
+  // and round 6 reaches the ceiling.
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const net::Path p{{topo.add_link(a, b, 1e9, 0.01)}};
+  FlowSimulator fsim(sim, topo, util::Rng(12));
+  FlowOptions opt;  // slow start on
+  opt.rtt = 0.1;
+  opt.ceiling_override = 1e6;
+  const FlowId f1 = fsim.start_flow(p, 1e12, opt, nullptr);
+  sim.run_until(0.05);
+  const FlowId f2 = fsim.start_flow(p, 1e12, opt, nullptr);
+  sim.run_until(2.0);
+
+  EXPECT_EQ(fsim.current_rate(f1), 1e6);
+  EXPECT_EQ(fsim.current_rate(f2), 1e6);
+  EXPECT_EQ(sim.executed(sim::EventKind::kSlowStart), 12u);
+  // Both arrivals bypass the solver (1 + 2 flows touched); each of the 12
+  // binding rounds updates its own flow only and re-arms its completion.
+  const FlowSimulator::Counters c = fsim.counters();
+  EXPECT_EQ(c.reallocations, 14u);
+  EXPECT_EQ(c.solver_bypasses, 14u);
+  EXPECT_EQ(c.flows_touched, 15u);
+  EXPECT_EQ(c.maxmin_rounds, 0u);
+  EXPECT_EQ(c.timer_rearms, 14u);
+}
+
+TEST(FlowSimulatorCounters, RampBesideALinkBoundFlowRunsTheSolver) {
+  // The ramping flow shares a wide link with a flow held to a narrow
+  // link's capacity and no cap of its own: the component is never
+  // cap-bound, so each of the ramp's binding rounds re-solves both flows,
+  // though the ramp's own links keep room to spare.
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const auto c = topo.add_node("c");
+  const net::LinkId wide = topo.add_link(a, b, 1e9, 0.01);
+  const net::LinkId narrow = topo.add_link(b, c, 1e6, 0.01);
+  FlowSimulator fsim(sim, topo, util::Rng(16));
+  FlowOptions steady;
+  steady.model_slow_start = false;
+  const FlowId bulk = fsim.start_flow(net::Path{{wide, narrow}}, 1e12,
+                                      steady, nullptr);
+  FlowOptions ramp;  // slow start on
+  ramp.rtt = 0.1;
+  ramp.ceiling_override = 1e6;
+  const FlowId id = fsim.start_flow(net::Path{{wide}}, 1e12, ramp, nullptr);
+  const FlowSimulator::Counters before = fsim.counters();
+  sim.run_until(2.0);
+
+  EXPECT_EQ(fsim.current_rate(id), 1e6);
+  EXPECT_EQ(fsim.current_rate(bulk), 1e6);
+  EXPECT_EQ(sim.executed(sim::EventKind::kSlowStart), 6u);
+  const FlowSimulator::Counters after = fsim.counters();
+  EXPECT_EQ(after.reallocations - before.reallocations, 6u);
+  EXPECT_EQ(after.flows_touched - before.flows_touched, 12u);
+  EXPECT_EQ(after.solver_bypasses, before.solver_bypasses);
+  EXPECT_GT(after.maxmin_rounds, before.maxmin_rounds);
+}
+
+TEST(FlowSimulatorCounters, RoundThatFillsALinkRunsTheSolver) {
+  // The same ramps on a 1.5e6 B/s link: the caps fit until the second
+  // flow's round 5 (2 x 934400 > 1.5e6), whose recompute runs the solver
+  // and splits the link.
+  sim::Simulator sim;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const net::Path p{{topo.add_link(a, b, 1.5e6, 0.01)}};
+  FlowSimulator fsim(sim, topo, util::Rng(13));
+  FlowOptions opt;  // slow start on
+  opt.rtt = 0.1;
+  opt.ceiling_override = 1e6;
+  const FlowId f1 = fsim.start_flow(p, 1e12, opt, nullptr);
+  const FlowId f2 = fsim.start_flow(p, 1e12, opt, nullptr);
+  sim.run_until(0.45);
+  EXPECT_EQ(fsim.current_rate(f1), slow_start_cap(opt.tcp, 0.1, 4));
+  EXPECT_EQ(fsim.counters().maxmin_rounds, 0u);
+  sim.run_until(0.55);
+  EXPECT_EQ(fsim.current_rate(f1), 7.5e5);
+  EXPECT_EQ(fsim.current_rate(f2), 7.5e5);
+  EXPECT_GT(fsim.counters().maxmin_rounds, 0u);
 }
 
 // --- Event-skip and clamp fixes -------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "flow/flow_simulator.hpp"
 #include "flow/tcp_model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -174,8 +175,84 @@ TEST_P(MaxMinProperty, LargeInstancesMeetTheDefinition) {
   EXPECT_EQ(check_max_min(inst.capacities, inst.flows, rates), "");
 }
 
+// Cap-bound instances: every cap finite (some zero, some equal to each
+// other) and each link's capacity above the caps crossing it, by as little
+// as 2e-9 relative. FlowSimulator skips the solver for such components
+// and gives every flow its cap; the solver must agree bit for bit.
+TEST_P(MaxMinProperty, CapBoundInstancesReturnExactlyTheCaps) {
+  util::Rng rng(GetParam() + 2000);
+  const auto links = static_cast<std::size_t>(rng.uniform_int(1, 8));
+  const auto flows = static_cast<std::size_t>(rng.uniform_int(1, 96));
+  const Rate shared_cap = rng.uniform(0.1, 10.0);
+  std::vector<FlowDemand> demands;
+  std::vector<Rate> load(links, 0.0);
+  for (std::size_t f = 0; f < flows; ++f) {
+    const auto hops = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(links)));
+    FlowDemand d;
+    d.links = rng.sample_without_replacement(links, hops);
+    const double kind = rng.uniform();
+    d.cap = kind < 0.2 ? 0.0 : kind < 0.5 ? shared_cap : rng.uniform(0.1, 10.0);
+    for (const std::size_t l : d.links) load[l] += d.cap;
+    demands.push_back(std::move(d));
+  }
+  std::vector<Rate> capacities(links);
+  for (std::size_t l = 0; l < links; ++l) {
+    const double headroom = rng.bernoulli(0.5) ? rng.uniform(2e-9, 1e-8)
+                                               : rng.uniform(0.01, 3.0);
+    capacities[l] =
+        load[l] > 0.0 ? load[l] * (1.0 + headroom) : rng.uniform(0.5, 20.0);
+  }
+  const std::vector<Rate> rates = max_min_allocate(capacities, demands);
+  for (std::size_t f = 0; f < flows; ++f) {
+    ASSERT_EQ(rates[f], demands[f].cap) << "flow " << f;
+  }
+  EXPECT_EQ(check_max_min(capacities, demands, rates), "");
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomInstances, MaxMinProperty,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+// Caps that fill a link exactly (their floating-point sum equals its
+// capacity) leave no margin, so FlowSimulator runs the solver: the last
+// arrival's recompute runs progressive-filling rounds, and the rates match
+// a from-scratch solve, whether or not they come out at the caps.
+TEST(MaxMinExactFit, SimulatorRunsTheSolverAndMatchesScratch) {
+  const std::vector<std::vector<Rate>> cap_sets = {
+      {1e6, 2e6, 3e6, 1.5e6}, {1e6 / 3.0, 1e6 / 3.0, 1e6 / 3.0}};
+  for (const std::vector<Rate>& caps : cap_sets) {
+    Rate capacity = 0.0;
+    for (const Rate c : caps) capacity += c;
+    sim::Simulator sim;
+    net::Topology topo;
+    const auto a = topo.add_node("a");
+    const auto b = topo.add_node("b");
+    const net::Path p{{topo.add_link(a, b, capacity, 0.01)}};
+    FlowSimulator fsim(sim, topo, util::Rng(14));
+    std::vector<FlowId> ids;
+    std::vector<FlowDemand> demands;
+    for (const Rate c : caps) {
+      const FlowSimulator::Counters before = fsim.counters();
+      FlowOptions opt;
+      opt.model_slow_start = false;
+      opt.ceiling_override = c;
+      ids.push_back(fsim.start_flow(p, 1e12, opt, nullptr));
+      demands.push_back(demand({0}, c));
+      const FlowSimulator::Counters after = fsim.counters();
+      // Every arrival but the last leaves room on the link.
+      const bool last = ids.size() == caps.size();
+      EXPECT_EQ(after.solver_bypasses - before.solver_bypasses, last ? 0u : 1u);
+      EXPECT_EQ(after.maxmin_rounds > before.maxmin_rounds, last);
+    }
+    const std::vector<Rate> expect = max_min_allocate({capacity}, demands);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(fsim.current_rate(ids[i]), expect[i]) << "flow " << i;
+    }
+    std::vector<Rate> rates;
+    for (const FlowId id : ids) rates.push_back(fsim.current_rate(id));
+    EXPECT_EQ(check_max_min({capacity}, demands, rates), "");
+  }
+}
 
 // ---- Workspace entry point -----------------------------------------------
 

@@ -330,6 +330,58 @@ TEST(Rng, DistributionsMatchStdEngineReference) {
   }
 }
 
+// A scripted 64-bit engine, to steer the polar method into its edge cases.
+class StubEngine {
+ public:
+  using result_type = std::uint64_t;
+  explicit StubEngine(std::vector<std::uint64_t> words)
+      : words_(std::move(words)) {}
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() { return words_.at(next_++); }
+  std::size_t used() const { return next_; }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::size_t next_ = 0;
+};
+
+TEST(Rng, PolarNormalMatchesStdOnEdgeWords) {
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};  // rounds to 1.0
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  // A word that rounds up to 2^64 gives the largest double below 1.
+  StubEngine top({kTop});
+  EXPECT_EQ(canonical_double(top), std::nextafter(1.0, 0.0));
+
+  const std::vector<std::vector<std::uint64_t>> scripts = {
+      // (1, 1) lies outside the unit disc; (0, 0) is its centre, where the
+      // polar transform is undefined: both are rejected. Then x = 1 - 2^-52
+      // from the clamped word, y = 2^-33, just inside the disc.
+      {kTop, kTop, kHalf, kHalf, kTop, kHalf + (std::uint64_t{1} << 30)},
+      // The clamped word as y, with x = 0.
+      {kHalf, kTop},
+      // The clamped word on both axes is rejected; then a plain pair.
+      {kTop, kTop, std::uint64_t{1} << 62, kHalf + (kHalf >> 1)},
+  };
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    for (const auto& [mean, sd] : {std::pair{0.0, 1.0}, std::pair{3.0, 0.25}}) {
+      StubEngine ours(scripts[i]);
+      StubEngine ref(scripts[i]);
+      EXPECT_EQ(polar_normal(ours, mean, sd),
+                std::normal_distribution<double>(mean, sd)(ref))
+          << "script " << i;
+      EXPECT_EQ(ours.used(), scripts[i].size()) << "script " << i;
+      EXPECT_EQ(ref.used(), scripts[i].size()) << "script " << i;
+    }
+  }
+}
+
+TEST(Rng, NormalRejectsNegativeStddev) {
+  Rng rng(1);
+  EXPECT_THROW(rng.normal(0.0, -1.0), Error);
+  EXPECT_EQ(rng.normal(2.0, 0.0), 2.0);
+}
+
 TEST(Splitmix, AvalanchesNearbySeeds) {
   // Adjacent inputs should produce very different outputs.
   const auto a = splitmix64(1);
